@@ -19,23 +19,9 @@ from __future__ import annotations
 
 from itertools import combinations, product as iproduct
 
-from .linalg import LinearForm, LinearMap, basis_vector, nullspace, vec_is_zero
+from .linalg import LinearForm, LinearMap, basis_vector, nullspace, vec_is_zero, vec_sub
 from .reports import ArgumentError, CheckReport, InternalConsistencyError, failing, passing
 from .tensor import StructureTensor
-
-
-def _eval_dense_slot(t, indices, pos, dense):
-    """Basis-tuple product with one dense vector substituted at ``pos``."""
-    out = [0] * t.dimension
-    pre, post = indices[:pos], indices[pos + 1:]
-    for k, c in enumerate(dense):
-        if c == 0:
-            continue
-        term = t.basis_product(pre + (k,) + post)
-        for i, a in enumerate(term):
-            if a:
-                out[i] += c * a
-    return tuple(out)
 
 
 def _strict_ascending(dimension, length):
@@ -80,44 +66,37 @@ def check_n_jacobi(t: StructureTensor) -> CheckReport:
     The bracket of the first n arguments must act as a derivation of the
     bracket in the remaining n-1 ones.  For ternary brackets the equivalent
     all-brackets-first form is checked alongside and the two verdicts are
-    asserted to coincide.
+    asserted to coincide.  A pair (xs, ys) whose products ``t[xs]`` and
+    ``t[(x_i,) + ys]`` are all zero is skipped: every term of both forms
+    then contains one of them, so both sides are zero.
     """
     n, d = t.arity, t.dimension
     name = f"{n}-jacobi"
     count = d ** (2 * n - 1)
     _require_skew(t)
+    pairs = t.table.get
+    yss = list(_strict_ascending(d, n - 1))
     bad = None
     bad_alt = None
     for xs in _strict_ascending(d, n):
-        bx = t.basis_product(xs)
-        for ys in _strict_ascending(d, n - 1):
-            lhs = _eval_dense_slot(t, (0,) + ys, 0, bx)
-            rhs = [0] * d
-            for i in range(n):
-                inner = t.basis_product((xs[i],) + ys)
-                if vec_is_zero(inner):
-                    continue
-                term = _eval_dense_slot(t, xs, i, inner)
-                for k, a in enumerate(term):
-                    if a:
-                        rhs[k] += a
-            if lhs != tuple(rhs) and bad is None:
-                bad = (xs + ys, lhs, tuple(rhs))
+        bx = pairs(xs)
+        # equivalent ternary form: every x_i moved into the outer bracket's
+        # first slot, the other two x's kept in cyclic order
+        cyc = ((xs[1], xs[2]), (xs[2], xs[0]), (xs[0], xs[1])) if n == 3 else ()
+        for ys in yss:
+            inner = [pairs((x,) + ys) for x in xs]
+            if bx is None and not any(inner):
+                continue
+            lhs = t.contract((bx or (),) + ys)
+            rhs = t.contract(*[xs[:i] + (v,) + xs[i + 1:]
+                               for i, v in enumerate(inner) if v])
+            if lhs != rhs and bad is None:
+                bad = (xs + ys, lhs, rhs)
             if n == 3 and bad_alt is None:
-                # equivalent form: every x_i moved into the outer bracket's
-                # first slot, the other two x's kept in cyclic order
-                alt = [0] * d
-                cyc = ((xs[1], xs[2]), (xs[2], xs[0]), (xs[0], xs[1]))
-                for i in range(3):
-                    inner = t.basis_product((xs[i],) + ys)
-                    if vec_is_zero(inner):
-                        continue
-                    term = _eval_dense_slot(t, (0,) + cyc[i], 0, inner)
-                    for k, a in enumerate(term):
-                        if a:
-                            alt[k] += a
-                if lhs != tuple(alt):
-                    bad_alt = (xs + ys, lhs, tuple(alt))
+                alt = t.contract(*[(v,) + cyc[i]
+                                   for i, v in enumerate(inner) if v])
+                if lhs != alt:
+                    bad_alt = (xs + ys, lhs, alt)
             if bad is not None and (n != 3 or bad_alt is not None):
                 break
         else:
@@ -132,14 +111,20 @@ def check_n_jacobi(t: StructureTensor) -> CheckReport:
     return passing(name, count)
 
 
+def _associator(t, i, j, k):
+    """Both bracketings (e_i e_j) e_k and e_i (e_j e_k) of a binary product."""
+    pairs = t.table.get
+    return (t.contract((pairs((i, j), ()), k)),
+            t.contract((i, pairs((j, k), ()))))
+
+
 def check_associative(t: StructureTensor) -> CheckReport:
     if t.arity != 2:
         raise ArgumentError("associativity is a binary axiom")
     d = t.dimension
     count = d ** 3
     for i, j, k in iproduct(range(d), repeat=3):
-        lhs = _eval_dense_slot(t, (0, k), 0, t.basis_product((i, j)))
-        rhs = _eval_dense_slot(t, (i, 0), 1, t.basis_product((j, k)))
+        lhs, rhs = _associator(t, i, j, k)
         if lhs != rhs:
             return failing("associative", count, (i, j, k), lhs, rhs)
     return passing("associative", count)
@@ -169,15 +154,12 @@ def check_lie(t: StructureTensor) -> CheckReport:
     if not skew.passed:
         c = skew.counterexample
         return failing("lie", count, c.indices, c.lhs, c.rhs)
+    pairs = t.table.get
     for i, j, k in combinations(range(d), 3):
-        acc = [0] * d
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            term = _eval_dense_slot(t, (0, c), 0, t.basis_product((a, b)))
-            for m, v in enumerate(term):
-                if v:
-                    acc[m] += v
+        acc = t.contract(*[(pairs((a, b), ()), c)
+                           for a, b, c in ((i, j, k), (j, k, i), (k, i, j))])
         if not vec_is_zero(acc):
-            return failing("lie", count, (i, j, k), tuple(acc), (0,) * d)
+            return failing("lie", count, (i, j, k), acc, (0,) * d)
     return passing("lie", count)
 
 
@@ -187,17 +169,11 @@ def check_prelie(t: StructureTensor) -> CheckReport:
         raise ArgumentError("the pre-Lie axiom is binary")
     d = t.dimension
     count = d ** 3
-
-    def associator(i, j, k):
-        lhs = _eval_dense_slot(t, (0, k), 0, t.basis_product((i, j)))
-        rhs = _eval_dense_slot(t, (i, 0), 1, t.basis_product((j, k)))
-        return tuple(a - b for a, b in zip(lhs, rhs))
-
     for i in range(d):
         for j in range(i + 1, d):
             for k in range(d):
-                lhs = associator(i, j, k)
-                rhs = associator(j, i, k)
+                lhs = vec_sub(*_associator(t, i, j, k))
+                rhs = vec_sub(*_associator(t, j, i, k))
                 if lhs != rhs:
                     return failing("prelie", count, (i, j, k), lhs, rhs)
     return passing("prelie", count)
@@ -215,36 +191,26 @@ def check_lts(t: StructureTensor) -> CheckReport:
     d = t.dimension
     zero = (0,) * d
     count = d ** 3 + d ** 3 + d ** 5
+    pairs = t.table.get
     for i in range(d):
         for j in range(d):
             for k in range(j, d):
-                s = tuple(a + b for a, b in zip(
-                    t.basis_product((i, j, k)), t.basis_product((i, k, j))))
+                s = t.contract((i, j, k), (i, k, j))
                 if not vec_is_zero(s):
                     return failing("lts", count, (i, j, k), s, zero)
     for idx in iproduct(range(d), repeat=3):
         i, j, k = idx
-        acc = [0] * d
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, v in enumerate(t.basis_product((a, b, c))):
-                if v:
-                    acc[m] += v
+        acc = t.contract((i, j, k), (j, k, i), (k, i, j))
         if not vec_is_zero(acc):
-            return failing("lts", count, idx, tuple(acc), zero)
+            return failing("lts", count, idx, acc, zero)
     for idx in iproduct(range(d), repeat=5):
         i, j, k, a, b = idx
-        lhs = _eval_dense_slot(t, (0, a, b), 0, t.basis_product((i, j, k)))
-        rhs = [0] * d
-        for pos, inner_idx in enumerate(((i, a, b), (j, a, b), (k, a, b))):
-            inner = t.basis_product(inner_idx)
-            if vec_is_zero(inner):
-                continue
-            term = _eval_dense_slot(t, (i, j, k), pos, inner)
-            for m, v in enumerate(term):
-                if v:
-                    rhs[m] += v
-        if lhs != tuple(rhs):
-            return failing("lts", count, idx, lhs, tuple(rhs))
+        lhs = t.contract((pairs((i, j, k), ()), a, b))
+        rhs = t.contract((pairs((i, a, b), ()), j, k),
+                         (i, pairs((j, a, b), ()), k),
+                         (i, j, pairs((k, a, b), ())))
+        if lhs != rhs:
+            return failing("lts", count, idx, lhs, rhs)
     return passing("lts", count)
 
 

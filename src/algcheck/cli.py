@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import files
-from .catalog import catalog, get as catalog_get
+from .catalog import catalog, catalog_names, get as catalog_get
 from .algebra import Algebra
 from .axioms import (check_associative, check_commutative, check_lie,
                      check_lts, check_n_jacobi, check_prelie,
@@ -48,6 +48,10 @@ _RECIPES = ("f-bracket", "fD-bracket", "det2", "det3", "derived", "naive",
 
 def _load_algebra(ref: str) -> Algebra:
     if os.path.exists(ref):
+        if ref in catalog_names():
+            raise ArgumentError(
+                f"{ref!r} names both the local file ./{ref} and the catalog "
+                f"algebra {ref}; write ./{ref} to load the file")
         return files.load(ref)
     try:
         return catalog_get(ref)

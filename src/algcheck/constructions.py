@@ -36,22 +36,6 @@ def _require(report: CheckReport, what: str):
             f"{what} fails at basis tuple {report.counterexample.indices}")
 
 
-def _binprod(t: StructureTensor, u, v):
-    """Binary product of two dense vectors."""
-    out = [0] * t.dimension
-    for i, ci in enumerate(u):
-        if ci == 0:
-            continue
-        for j, cj in enumerate(v):
-            if cj == 0:
-                continue
-            term = t.basis_product((i, j))
-            for k, a in enumerate(term):
-                if a:
-                    out[k] += ci * cj * a
-    return tuple(out)
-
-
 def _assert_jacobi(t: StructureTensor, theorem: str):
     rep = check_n_jacobi(t)
     if not rep.passed:
@@ -109,8 +93,7 @@ def thm32_condition(lie: StructureTensor, p: LinearMap, lam,
         expr = zero_vector(d)
         for c, (a, b) in ((fr[i], (j, k)), (fr[j], (k, i)), (fr[k], (i, j))):
             if c:
-                expr = vec_add(expr, vec_scale(
-                    c, _binprod(lie, p.cols[a], p.cols[b])))
+                expr = vec_add(expr, vec_scale(c, lie(p.cols[a], p.cols[b])))
         img = kmap(expr)
         if not vec_is_zero(img):
             bad = (idx, img, zero_vector(d))
@@ -150,7 +133,7 @@ def cor33_condition(lie: StructureTensor, p: LinearMap,
             for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                 u = vec_sub(vec_scale(fr[a], p.cols[b]),
                             vec_scale(fr[b], p.cols[a]))
-                expr = vec_add(expr, _binprod(lie, u, basis_vector(d, c)))
+                expr = vec_add(expr, lie(u, basis_vector(d, c)))
             img = p2(expr)
             if not vec_is_zero(img):
                 bad = (idx, img, zero_vector(d))
@@ -187,8 +170,8 @@ def derived_prelie(prelie: StructureTensor, p: LinearMap, lam) -> StructureTenso
 
     def value(key):
         i, j = key
-        out = vec_sub(_binprod(prelie, p.cols[i], basis_vector(d, j)),
-                      _binprod(prelie, basis_vector(d, j), p.cols[i]))
+        out = vec_sub(prelie(p.cols[i], basis_vector(d, j)),
+                      prelie(basis_vector(d, j), p.cols[i]))
         if lam:
             out = vec_add(out, vec_scale(lam, prelie.basis_product((i, j))))
         return out
@@ -223,7 +206,7 @@ def prelie_from_comm_assoc(assoc: StructureTensor, dmap: LinearMap) -> Structure
 
     def value(key):
         i, j = key
-        return _binprod(assoc, basis_vector(d, i), dmap.cols[j])
+        return assoc(basis_vector(d, i), dmap.cols[j])
 
     t = StructureTensor.from_function(2, d, "none", value)
     rep = check_prelie(t)
@@ -256,8 +239,7 @@ def thm36_f_condition(prelie: StructureTensor, p: LinearMap,
 
     def side(i, j):
         ej = basis_vector(d, j)
-        return f(vec_sub(_binprod(prelie, p.cols[i], ej),
-                         _binprod(prelie, ej, p.cols[i])))
+        return f(vec_sub(prelie(p.cols[i], ej), prelie(ej, p.cols[i])))
 
     for i in range(d):
         for j in range(i + 1, d):
@@ -290,8 +272,7 @@ def thm36_bracket(prelie: StructureTensor, p: LinearMap,
             if vec_is_zero(u):
                 continue
             ec = basis_vector(d, c)
-            out = vec_add(out, vec_sub(_binprod(prelie, u, ec),
-                                       _binprod(prelie, ec, u)))
+            out = vec_add(out, vec_sub(prelie(u, ec), prelie(ec, u)))
         return out
 
     t = StructureTensor.from_function(3, d, "skew", value)
@@ -315,8 +296,8 @@ def thm36_rb_condition(prelie: StructureTensor, p: LinearMap,
         expr = zero_vector(d)
         for c, (a, b) in ((fr[i], (j, k)), (fr[j], (k, i)), (fr[k], (i, j))):
             if c:
-                comm = vec_sub(_binprod(prelie, p2.cols[a], p2.cols[b]),
-                               _binprod(prelie, p2.cols[b], p2.cols[a]))
+                comm = vec_sub(prelie(p2.cols[a], p2.cols[b]),
+                               prelie(p2.cols[b], p2.cols[a]))
                 expr = vec_add(expr, vec_scale(c, comm))
         if not vec_is_zero(expr):
             bad = (idx, expr, zero_vector(d))
@@ -340,7 +321,7 @@ def _fd_preconditions(assoc, f, dmap):
         for j in range(d):
             ej = basis_vector(d, j)
             ei = basis_vector(d, i)
-            if f(_binprod(assoc, dmap.cols[i], ej)) != f(_binprod(assoc, ei, dmap.cols[j])):
+            if f(assoc(dmap.cols[i], ej)) != f(assoc(ei, dmap.cols[j])):
                 raise PreconditionError(
                     f"form condition f(D(x)y) = f(xD(y)) fails at basis pair ({i}, {j})")
 
@@ -359,8 +340,8 @@ def fD_bracket(assoc: StructureTensor, f: LinearForm,
         for c, (a, b) in ((fr[i], (j, k)), (fr[j], (k, i)), (fr[k], (i, j))):
             if c:
                 term = vec_sub(
-                    _binprod(assoc, dmap.cols[a], basis_vector(d, b)),
-                    _binprod(assoc, dmap.cols[b], basis_vector(d, a)))
+                    assoc(dmap.cols[a], basis_vector(d, b)),
+                    assoc(dmap.cols[b], basis_vector(d, a)))
                 out = vec_add(out, vec_scale(c, term))
         return out
 
@@ -381,18 +362,17 @@ def fd_bracket_value_forms(assoc, f, dmap, x, y, z):
         c = frow[perm[0]]
         if c == 0:
             continue
-        term = vec_scale(sign * c, _binprod(assoc, dimg[perm[1]], args[perm[2]]))
+        term = vec_scale(sign * c, assoc(dimg[perm[1]], args[perm[2]]))
         det = vec_add(det, term)
     fexp = zero_vector(d)
     for c, (a, b) in ((frow[0], (1, 2)), (frow[1], (2, 0)), (frow[2], (0, 1))):
         if c:
             fexp = vec_add(fexp, vec_scale(c, vec_sub(
-                _binprod(assoc, dimg[a], args[b]),
-                _binprod(assoc, dimg[b], args[a]))))
+                assoc(dimg[a], args[b]), assoc(dimg[b], args[a]))))
     ddiff = zero_vector(d)
     for (a, b), c in (((0, 1), 2), ((2, 0), 1), ((1, 2), 0)):
         u = dmap(vec_sub(vec_scale(frow[a], args[b]), vec_scale(frow[b], args[a])))
-        ddiff = vec_add(ddiff, _binprod(assoc, u, args[c]))
+        ddiff = vec_add(ddiff, assoc(u, args[c]))
     return det, fexp, ddiff
 
 
@@ -419,8 +399,7 @@ def thm42_condition(assoc: StructureTensor, p: LinearMap, lam, f: LinearForm,
         for c, (a, b) in ((fr[i], (j, k)), (fr[j], (k, i)), (fr[k], (i, j))):
             if c:
                 expr = vec_add(expr, vec_scale(c, vec_sub(
-                    _binprod(assoc, dp.cols[a], p.cols[b]),
-                    _binprod(assoc, dp.cols[b], p.cols[a]))))
+                    assoc(dp.cols[a], p.cols[b]), assoc(dp.cols[b], p.cols[a]))))
         img = kmap(expr)
         if not vec_is_zero(img):
             bad = (idx, img, zero_vector(d))
@@ -442,10 +421,10 @@ def _det3_elements(assoc, rows):
     out = zero_vector(d)
     r1, r2, r3 = rows
     for perm, sign in _PERMS3:
-        prod = _binprod(assoc, r1[perm[0]], r2[perm[1]])
+        prod = assoc(r1[perm[0]], r2[perm[1]])
         if vec_is_zero(prod):
             continue
-        prod = _binprod(assoc, prod, r3[perm[2]])
+        prod = assoc(prod, r3[perm[2]])
         if sign < 0:
             prod = vec_scale(-1, prod)
         out = vec_add(out, prod)
@@ -516,8 +495,7 @@ def det_rb_expansion_check(assoc: StructureTensor, p: LinearMap, lam) -> CheckRe
     lam = norm(lam)
     gens = [basis_vector(d, i) for i in range(d)] + list(p.cols)
     ng = len(gens)
-    pair = [[_binprod(assoc, gens[a], gens[b]) for b in range(ng)]
-            for a in range(ng)]
+    pair = [[assoc(gens[a], gens[b]) for b in range(ng)] for a in range(ng)]
     triple = {}
     for a in range(ng):
         for b in range(ng):
@@ -525,7 +503,7 @@ def det_rb_expansion_check(assoc: StructureTensor, p: LinearMap, lam) -> CheckRe
             if vec_is_zero(ab):
                 continue
             for c in range(ng):
-                v = _binprod(assoc, ab, gens[c])
+                v = assoc(ab, gens[c])
                 if not vec_is_zero(v):
                     triple[(a, b, c)] = v
     zero = zero_vector(d)

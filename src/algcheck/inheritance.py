@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .axioms import (_eval_dense_slot, check_lie, check_lts, check_n_jacobi,
-                     check_skew_symmetric)
+from .axioms import check_lie, check_lts, check_n_jacobi, check_skew_symmetric
 from .constructions import _require, _verify_annihilating, f_bracket
 from .linalg import (LinearForm, LinearMap, basis_vector, maps_commute,
                      vec_add, vec_scale, vec_sub, zero_vector)
@@ -124,15 +123,7 @@ def _cor54_preconditions(lie, p, lam, f):
         expr = zero_vector(d)
         for c, (a, b) in ((fr[i], (j, k)), (fr[j], (k, i)), (fr[k], (i, j))):
             if c:
-                term = [0] * d
-                for m, cm in enumerate(p.cols[a]):
-                    if cm == 0:
-                        continue
-                    row = _eval_dense_slot(lie, (m, 0), 1, p.cols[b])
-                    for s, v in enumerate(row):
-                        if v:
-                            term[s] += cm * v
-                expr = vec_add(expr, vec_scale(c, tuple(term)))
+                expr = vec_add(expr, vec_scale(c, lie(p.cols[a], p.cols[b])))
         if any(v != 0 for v in kmap(expr)):
             raise PreconditionError(
                 f"kernel condition fails at basis triple {idx}")
@@ -156,17 +147,6 @@ def cor54_bracket(lie: StructureTensor, p: LinearMap, lam,
     fp = tuple(f(col) for col in p.cols)  # f(P(e_i))
     fr = f.row
 
-    def bin2(u, v):
-        out = [0] * d
-        for m, cm in enumerate(u):
-            if cm == 0:
-                continue
-            row = _eval_dense_slot(lie, (m, 0), 1, v)
-            for s, a in enumerate(row):
-                if a:
-                    out[s] += cm * a
-        return tuple(out)
-
     def value(key):
         out = zero_vector(d)
         # cyclic triples (x, y, z) contributing via f(P(x)) and f(x)
@@ -174,15 +154,15 @@ def cor54_bracket(lie: StructureTensor, p: LinearMap, lam,
                         (key[2], key[0], key[1])):
             ey, ez = basis_vector(d, y), basis_vector(d, z)
             if fp[x]:
-                term = vec_add(bin2(p.cols[y], ez), bin2(ey, p.cols[z]))
+                term = vec_add(lie(p.cols[y], ez), lie(ey, p.cols[z]))
                 if lam:
                     term = vec_add(term, vec_scale(lam, lie.basis_product((y, z))))
                 out = vec_add(out, vec_scale(fp[x], term))
             if fr[x]:
-                term = bin2(p.cols[y], p.cols[z])
+                term = lie(p.cols[y], p.cols[z])
                 if lam:
                     term = vec_add(term, vec_scale(lam, vec_add(
-                        bin2(p.cols[y], ez), bin2(ey, p.cols[z]))))
+                        lie(p.cols[y], ez), lie(ey, p.cols[z]))))
                     term = vec_add(term, vec_scale(
                         norm(lam * lam), lie.basis_product((y, z))))
                 out = vec_add(out, vec_scale(fr[x], term))
@@ -212,40 +192,29 @@ def cor54_bracket_literal(lie: StructureTensor, p: LinearMap, lam,
     fp = tuple(f(col) for col in p.cols)
     fr = f.row
 
-    def bin2(u, v):
-        out = [0] * d
-        for m, cm in enumerate(u):
-            if cm == 0:
-                continue
-            row = _eval_dense_slot(lie, (m, 0), 1, v)
-            for s, a in enumerate(row):
-                if a:
-                    out[s] += cm * a
-        return tuple(out)
-
     def value(key):
         x, y, z = key
         ex, ey, ez = (basis_vector(d, i) for i in key)
         out = zero_vector(d)
         if fp[x]:
-            term = vec_add(bin2(p.cols[y], ez), bin2(ey, p.cols[z]))
+            term = vec_add(lie(p.cols[y], ez), lie(ey, p.cols[z]))
             term = vec_add(term, vec_scale(lam, lie.basis_product((y, z))))
             out = vec_add(out, vec_scale(fp[x], term))
         if fp[y]:
-            term = vec_add(bin2(p.cols[z], ex), bin2(ez, p.cols[x]))
+            term = vec_add(lie(p.cols[z], ex), lie(ez, p.cols[x]))
             term = vec_add(term, vec_scale(lam, lie.basis_product((z, x))))
             out = vec_add(out, vec_scale(fp[y], term))
         if fp[z]:
             # verbatim: [P(x), y] + [y, P(x)] + lambda [x, y]
-            term = vec_add(bin2(p.cols[x], ey), bin2(ey, p.cols[x]))
+            term = vec_add(lie(p.cols[x], ey), lie(ey, p.cols[x]))
             term = vec_add(term, vec_scale(lam, lie.basis_product((x, y))))
             out = vec_add(out, vec_scale(fp[z], term))
         for c, (a, b) in ((fr[x], (y, z)), (fr[y], (z, x)), (fr[z], (x, y))):
             if c:
                 ea, eb = basis_vector(d, a), basis_vector(d, b)
-                term = bin2(p.cols[a], p.cols[b])
+                term = lie(p.cols[a], p.cols[b])
                 term = vec_add(term, vec_scale(lam, vec_add(
-                    bin2(p.cols[a], eb), bin2(ea, p.cols[b]))))
+                    lie(p.cols[a], eb), lie(ea, p.cols[b]))))
                 term = vec_add(term, vec_scale(
                     norm(lam * lam), lie.basis_product((a, b))))
                 out = vec_add(out, vec_scale(c, term))
@@ -291,7 +260,7 @@ def lts_from_lie(lie: StructureTensor) -> StructureTensor:
 
     def value(key):
         i, j, k = key
-        return _eval_dense_slot(lie, (i, 0), 1, lie.basis_product((j, k)))
+        return lie.contract((i, lie.table.get((j, k), ())))
 
     out = StructureTensor.from_function(3, d, "none", value)
     rep = check_lts(out)

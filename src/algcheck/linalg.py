@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .reports import ArgumentError
 from .scalars import Scalar, norm
 
 Vector = tuple  # tuple of Scalar
@@ -63,7 +64,7 @@ class LinearForm:
 
     def __call__(self, v: Vector) -> Scalar:
         if len(v) != len(self.row):
-            raise ValueError("dimension mismatch in form application")
+            raise ArgumentError("dimension mismatch in form application")
         return sum(a * b for a, b in zip(self.row, v) if a and b)
 
     def is_zero(self) -> bool:

@@ -13,12 +13,12 @@ from __future__ import annotations
 import enum
 from itertools import product as iproduct
 
-from .axioms import check_associative, check_skew_symmetric, _eval_dense_slot
+from .axioms import _strict_ascending, check_associative, check_skew_symmetric
 from .linalg import LinearMap, basis_vector, maps_commute, vec_is_zero
 from .reports import (ArgumentError, CheckReport, InternalConsistencyError,
                       PreconditionError, failing, passing)
 from .scalars import Scalar, norm
-from .tensor import StructureTensor
+from .tensor import StructureTensor, support
 
 __all__ = [
     "SubsetMode", "subset_expansion", "check_rota_baxter", "check_derivation",
@@ -60,20 +60,20 @@ def subset_expansion(t: StructureTensor, m: LinearMap, lam, args, mode):
     if m.dimension != t.dimension or any(len(a) != t.dimension for a in args):
         raise ArgumentError("dimension mismatch in subset expansion")
     lam = norm(lam)
-    imgs = [m(a) for a in args]
+    plain = [support(a) for a in args]
+    imgs = [support(m(a)) for a in args]
     powers = _lambda_powers(lam, n)
-    inside, outside = (imgs, args) if mode is SubsetMode.DIFF_CHECK else (args, imgs)
-    out = [0] * t.dimension
+    inside, outside = (imgs, plain) if mode is SubsetMode.DIFF_CHECK else (plain, imgs)
+    terms = []
     for mask in range(1, 1 << n):
         coeff = powers[mask.bit_count()]
         if coeff == 0:
             continue
-        term = t.evaluate([
-            inside[i] if mask >> i & 1 else outside[i] for i in range(n)])
-        for i, a in enumerate(term):
-            if a:
-                out[i] += coeff * a
-    return tuple(out)
+        slots = [inside[i] if mask >> i & 1 else outside[i] for i in range(n)]
+        if coeff != 1:
+            slots[0] = tuple((k, coeff * a) for k, a in slots[0])
+        terms.append(slots)
+    return t.contract(*terms)
 
 
 def single_replacement_sum(t: StructureTensor, m: LinearMap, args, mode):
@@ -93,15 +93,6 @@ def single_replacement_sum(t: StructureTensor, m: LinearMap, args, mode):
     return tuple(out)
 
 
-def _check_tuples(t: StructureTensor):
-    """Basis tuples to scan, in lex order; for skew tensors the scan is
-    reduced to strictly ascending tuples (see axioms module notes)."""
-    if t.symmetry == "skew":
-        from itertools import combinations
-        return combinations(range(t.dimension), t.arity)
-    return iproduct(range(t.dimension), repeat=t.arity)
-
-
 def check_rota_baxter(t: StructureTensor, p: LinearMap, lam) -> CheckReport:
     """Weight-lambda Rota-Baxter identity of ``p`` on the product ``t``.
 
@@ -115,7 +106,10 @@ def check_rota_baxter(t: StructureTensor, p: LinearMap, lam) -> CheckReport:
     count = t.dimension ** t.arity
     d = t.dimension
     ebasis = [basis_vector(d, i) for i in range(d)]
-    for idx in _check_tuples(t):
+    # a skew scan covers strictly ascending tuples only (axioms module notes)
+    scan = (_strict_ascending(d, t.arity) if t.symmetry == "skew"
+            else iproduct(range(d), repeat=t.arity))
+    for idx in scan:
         lhs = t.evaluate([p.cols[i] for i in idx])
         rhs = p(subset_expansion(
             t, p, lam, [ebasis[i] for i in idx], SubsetMode.RB_HAT))
@@ -136,7 +130,9 @@ def check_derivation(t: StructureTensor, dmap: LinearMap, lam) -> CheckReport:
     count = t.dimension ** t.arity
     d = t.dimension
     ebasis = [basis_vector(d, i) for i in range(d)]
-    for idx in _check_tuples(t):
+    scan = (_strict_ascending(d, t.arity) if t.symmetry == "skew"
+            else iproduct(range(d), repeat=t.arity))
+    for idx in scan:
         lhs = dmap(t.basis_product(idx))
         rhs = subset_expansion(
             t, dmap, lam, [ebasis[i] for i in idx], SubsetMode.DIFF_CHECK)
@@ -182,7 +178,7 @@ def nary_from_associative(t: StructureTensor, n: int) -> StructureTensor:
         nxt = {}
         for key, vec in level.items():
             for j in range(d):
-                nxt[key + (j,)] = _eval_dense_slot(t, (0, j), 0, vec)
+                nxt[key + (j,)] = t.contract((support(vec), j))
         level = nxt
     entries = {k: v for k, v in level.items() if not vec_is_zero(v)}
     return StructureTensor(n, d, "none", entries)

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .linalg import Vector
-
 
 class ArgumentError(ValueError):
     """Arity or dimension mismatch between supplied objects."""
@@ -39,8 +37,8 @@ class FileFormatError(ValueError):
 @dataclass(frozen=True)
 class Counterexample:
     indices: tuple
-    lhs: Vector
-    rhs: Vector
+    lhs: tuple  # a vector, as in ``linalg``
+    rhs: tuple
 
 
 @dataclass(frozen=True)

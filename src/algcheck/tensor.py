@@ -3,18 +3,27 @@
 A ``StructureTensor`` records the products of basis tuples; the product of
 arbitrary vectors is the multilinear expansion of those constants.  Skew
 tensors are stored on strictly ascending index tuples only (``d choose n``
-entries instead of ``d**n``): evaluation of an arbitrary tuple sorts the
-indices and applies the sign of the sorting permutation, and any repeated
-index evaluates to zero, so skew-symmetry holds by construction.  Symmetric
-tensors sort without a sign.  Missing tuples evaluate to zero.
+entries instead of ``d**n``), symmetric ones on sorted tuples, and missing
+tuples are zero.
+
+Every product is read from one lookup table, built lazily on first use and
+cached on the (frozen) tensor: it maps each ordered index tuple with a
+nonzero product to the nonzero ``(k, c)`` pairs of that product, with the
+sign of the sorting permutation already applied for skew storage.  It holds
+about ``n! * len(entries)`` keys, not ``d**n``; a tuple with a repeated index
+is absent from a skew table, so skew-symmetry holds by construction.
+:meth:`StructureTensor.contract` expands multilinear products of sparse
+arguments over that table and is the one contraction kernel of the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import combinations, combinations_with_replacement, permutations
 from itertools import product as iproduct
 
-from .linalg import Vector, basis_vector, vec_is_zero, vec_scale, vector, zero_vector
+from .linalg import Vector, basis_vector, vec_is_zero, vec_scale, vector
 from .reports import ArgumentError
 
 SYMMETRIES = ("none", "skew", "symmetric")
@@ -32,6 +41,11 @@ def sort_with_sign(indices) -> tuple[tuple, int]:
             sign = -sign
             j -= 1
     return tuple(idx), sign
+
+
+def support(v: Vector) -> tuple:
+    """The nonzero ``(index, coefficient)`` pairs of a dense vector."""
+    return tuple((i, c) for i, c in enumerate(v) if c)
 
 
 @dataclass(frozen=True)
@@ -66,23 +80,59 @@ class StructureTensor:
 
     # -- basis products ----------------------------------------------------
 
+    @cached_property
+    def table(self) -> dict:
+        """Ordered index tuple -> nonzero ``(k, c)`` pairs of its product.
+
+        Built on first use, never at construction.  Tuples whose product is
+        zero are absent.
+        """
+        if self.symmetry == "none":
+            return {key: support(value) for key, value in self.entries.items()}
+        skew = self.symmetry == "skew"
+        perms = [(p, sort_with_sign(p)[1] if skew else 1)
+                 for p in permutations(range(self.arity))]
+        table = {}
+        for key, value in self.entries.items():
+            pairs = support(value)
+            neg = tuple((k, -c) for k, c in pairs)
+            for p, sign in perms:
+                table[tuple(key[i] for i in p)] = pairs if sign > 0 else neg
+        return table
+
+    def contract(self, *terms) -> Vector:
+        """Sum of the multilinear products ``terms`` as a dense vector.
+
+        Each term is a sequence of ``arity`` slots; a slot is a basis index
+        or a sparse vector given as ``(index, coefficient)`` pairs.  Every
+        index tuple of the expansion is looked up in :attr:`table`.
+        """
+        table = self.table
+        out = [0] * self.dimension
+        for slots in terms:
+            # a coefficient of None is an exact 1, never multiplied in
+            keys = [((), None)]
+            fixed = ()  # basis indices not yet appended to the keys
+            for slot in slots:
+                if isinstance(slot, int):
+                    fixed += (slot,)
+                else:
+                    keys = [(key + fixed + (i,), a if c is None else c * a)
+                            for key, c in keys for i, a in slot]
+                    fixed = ()
+            if fixed:
+                keys = [(key + fixed, c) for key, c in keys]
+            for key, c in keys:
+                for k, a in table.get(key, ()):
+                    out[k] += a if c is None else c * a
+        return tuple(out)
+
     def basis_product(self, indices) -> Vector:
         """Product of the basis vectors named by ``indices``."""
         indices = tuple(indices)
         if len(indices) != self.arity:
             raise ArgumentError("wrong number of indices")
-        if self.symmetry == "skew":
-            key, sign = sort_with_sign(indices)
-            if any(a == b for a, b in zip(key, key[1:])):
-                return zero_vector(self.dimension)
-            value = self.entries.get(key)
-            if value is None:
-                return zero_vector(self.dimension)
-            return vec_scale(sign, value)
-        if self.symmetry == "symmetric":
-            key, _ = sort_with_sign(indices)
-            return self.entries.get(key, zero_vector(self.dimension))
-        return self.entries.get(indices, zero_vector(self.dimension))
+        return self.contract(indices)
 
     # -- evaluation --------------------------------------------------------
 
@@ -97,17 +147,7 @@ class StructureTensor:
         for a in args:
             if len(a) != self.dimension:
                 raise ArgumentError("argument dimension mismatch")
-        supports = [[(i, c) for i, c in enumerate(a) if c != 0] for a in args]
-        out = [0] * self.dimension
-        for combo in iproduct(*supports):
-            coeff = 1
-            for _, c in combo:
-                coeff *= c
-            term = self.basis_product(tuple(i for i, _ in combo))
-            for i, a in enumerate(term):
-                if a:
-                    out[i] += coeff * a
-        return vector(out)
+        return vector(self.contract([support(a) for a in args]))
 
     # -- constructors ------------------------------------------------------
 
@@ -139,26 +179,12 @@ class StructureTensor:
 
 
 def stored_keys(arity, dimension, symmetry):
-    """Index tuples a tensor of the given shape actually stores."""
+    """Index tuples a tensor of the given shape actually stores, in lex order."""
     if symmetry == "skew":
-        return _ascending_tuples(dimension, arity, strict=True)
+        return list(combinations(range(dimension), arity))
     if symmetry == "symmetric":
-        return _ascending_tuples(dimension, arity, strict=False)
+        return list(combinations_with_replacement(range(dimension), arity))
     return list(iproduct(range(dimension), repeat=arity))
-
-
-def _ascending_tuples(dimension, length, strict):
-    out = []
-
-    def rec(prefix, lo):
-        if len(prefix) == length:
-            out.append(tuple(prefix))
-            return
-        for i in range(lo, dimension):
-            rec(prefix + [i], i + 1 if strict else i)
-
-    rec([], 0)
-    return out
 
 
 def skew_from_values(dimension, arity, value_fn, verify=True) -> StructureTensor:
@@ -172,8 +198,7 @@ def skew_from_values(dimension, arity, value_fn, verify=True) -> StructureTensor
     t = StructureTensor.from_function(arity, dimension, "skew", value_fn)
     if verify:
         for key in iproduct(range(dimension), repeat=arity):
-            got = vector(value_fn(key))
-            if got != t.basis_product(key):
+            if vector(value_fn(key)) != t.contract(key):
                 raise ArgumentError(
                     f"values are not skew-symmetric at index tuple {key}")
     return t
@@ -181,12 +206,8 @@ def skew_from_values(dimension, arity, value_fn, verify=True) -> StructureTensor
 
 def tensors_equal(a: StructureTensor, b: StructureTensor) -> bool:
     """Entrywise equality as multilinear maps (storage-independent)."""
-    if a.arity != b.arity or a.dimension != b.dimension:
-        return False
-    for key in iproduct(range(a.dimension), repeat=a.arity):
-        if a.basis_product(key) != b.basis_product(key):
-            return False
-    return True
+    return (a.arity == b.arity and a.dimension == b.dimension
+            and a.table == b.table)
 
 
 def basis(dimension) -> list[Vector]:

@@ -1,4 +1,5 @@
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,9 @@ from algcheck.axioms import (ad_map, annihilator_of_image, check_associative,
                              check_n_jacobi, check_prelie,
                              check_skew_symmetric, commutator)
 from algcheck.catalog import get
-from algcheck.linalg import basis_vector, vec_add, vec_scale
-from algcheck.reports import ArgumentError
-from algcheck.tensor import StructureTensor, stored_keys
+from algcheck.linalg import basis_vector, vec_add, vec_is_zero, vec_scale
+from algcheck.reports import ArgumentError, InternalConsistencyError
+from algcheck.tensor import StructureTensor, sort_with_sign, stored_keys
 
 # ---------------------------------------------------------------- oracles
 
@@ -40,6 +41,111 @@ def small_skew(dim):
         min_size=len(keys), max_size=len(keys))
     return vals.map(lambda vs: StructureTensor(3, dim, "skew",
                                                dict(zip(keys, vs))))
+
+
+def reference_basis_product(t, indices):
+    """Sort-and-sign lookup on the stored entries of a skew tensor."""
+    key, sign = sort_with_sign(indices)
+    value = t.entries.get(key)
+    if value is None or any(a == b for a, b in zip(key, key[1:])):
+        return (0,) * t.dimension
+    return vec_scale(sign, value)
+
+
+def reference_dense_slot(t, indices, pos, dense):
+    """Basis-tuple product with one dense vector substituted at ``pos``."""
+    out = [0] * t.dimension
+    for k, c in enumerate(dense):
+        if c:
+            term = reference_basis_product(t, indices[:pos] + (k,) + indices[pos + 1:])
+            for i, a in enumerate(term):
+                if a:
+                    out[i] += c * a
+    return tuple(out)
+
+
+def reference_jacobi(t):
+    """The dense n-Jacobi scan: every pair of ascending tuples in lex order,
+    dense products throughout, and for ternary brackets the bracket-first
+    form scanned alongside.  Returns (passed, checked_count, counterexample)
+    or raises ``InternalConsistencyError`` when the two forms disagree."""
+    n, d = t.arity, t.dimension
+    bad = bad_alt = None
+    for xs in combinations(range(d), n):
+        bx = reference_basis_product(t, xs)
+        for ys in combinations(range(d), n - 1):
+            lhs = reference_dense_slot(t, (0,) + ys, 0, bx)
+            rhs = (0,) * d
+            for i in range(n):
+                inner = reference_basis_product(t, (xs[i],) + ys)
+                if not vec_is_zero(inner):
+                    rhs = vec_add(rhs, reference_dense_slot(t, xs, i, inner))
+            if lhs != rhs and bad is None:
+                bad = (xs + ys, lhs, rhs)
+            if n == 3 and bad_alt is None:
+                alt = (0,) * d
+                cyc = ((xs[1], xs[2]), (xs[2], xs[0]), (xs[0], xs[1]))
+                for i in range(3):
+                    inner = reference_basis_product(t, (xs[i],) + ys)
+                    alt = vec_add(alt, reference_dense_slot(t, (0,) + cyc[i], 0, inner))
+                if lhs != alt:
+                    bad_alt = (xs + ys, lhs, alt)
+            if bad is not None and (n != 3 or bad_alt is not None):
+                break
+        else:
+            continue
+        break
+    if n == 3 and (bad is None) != (bad_alt is None):
+        raise InternalConsistencyError("the two ternary Jacobi forms disagree")
+    return bad is None, d ** (2 * n - 1), bad
+
+
+@st.composite
+def nary_brackets(draw, arity):
+    """Skew brackets that satisfy the n-Jacobi identity or nearly do: the
+    simple (n+1)-dimensional n-Lie algebra with random signs, optionally
+    perturbed in one structure constant, or a random tensor with one to five
+    nonzero structure constants."""
+    dim = arity + 1
+    if draw(st.booleans()):
+        entries = {}
+        for i in range(dim):
+            key = tuple(j for j in range(dim) if j != i)
+            entries[key] = vec_scale(draw(st.sampled_from((1, -1))),
+                                     basis_vector(dim, i))
+    else:
+        dim = draw(st.integers(arity, arity + 2))
+        entries = {}
+    # add to one structure constant; the random tensors get a few of these
+    for _ in range(draw(st.integers(0 if entries else 1, 1 if entries else 5))):
+        key = draw(st.sampled_from(stored_keys(arity, dim, "skew")))
+        k = draw(st.integers(0, dim - 1))
+        value = list(entries.get(key, (0,) * dim))
+        value[k] += draw(st.sampled_from((1, -1, 2, Fraction(1, 2))))
+        entries[key] = tuple(value)
+    return StructureTensor(arity, dim, "skew", entries)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(nary_brackets(3), nary_brackets(4)))
+def test_jacobi_matches_dense_reference_scan(t):
+    passed, count, bad = reference_jacobi(t)
+    rep = check_n_jacobi(t)
+    assert (rep.passed, rep.checked_count) == (passed, count)
+    if bad is not None:
+        ce = rep.counterexample
+        assert (ce.indices, ce.lhs, ce.rhs) == bad
+
+
+def test_simple_nlie_algebras_pass_the_reference():
+    # the unperturbed generator branch really yields n-Lie algebras
+    for n in (3, 4):
+        d = n + 1
+        t = StructureTensor(n, d, "skew", {
+            tuple(j for j in range(d) if j != i): basis_vector(d, i)
+            for i in range(d)})
+        assert reference_jacobi(t)[0]
+        assert check_n_jacobi(t).passed
 
 
 # ---------------------------------------------------------------- skew

@@ -72,6 +72,19 @@ def test_verify_from_file(tmp_path):
     assert code == 0 and "pass" in text
 
 
+def test_file_named_like_catalog_algebra_is_ambiguous(tmp_path, monkeypatch,
+                                                      capsys):
+    # a local file must not silently shadow the catalog algebra q3
+    (tmp_path / "q3").write_text(dumps(get("heisenberg")))
+    monkeypatch.chdir(tmp_path)
+    code, _ = run("verify", "q3", "--axiom", "lie")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "./q3" in err and "catalog algebra q3" in err
+    code, text = run("verify", "./q3", "--axiom", "lie")
+    assert code == 0 and "heisenberg" in text and "pass" in text
+
+
 def test_verify_malformed_file_exits_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "algcheck-algebra/1"}')

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from algcheck.linalg import (LinearForm, LinearMap, basis_vector, kernel_basis,
                              kernel_membership, maps_commute, nullspace, rref,
                              vec_add, vec_is_zero, vec_scale, vec_sub, vector)
+from algcheck.reports import ArgumentError
 
 scalars = st.one_of(st.integers(-6, 6),
                     st.fractions(min_value=-3, max_value=3, max_denominator=4))
@@ -88,6 +89,11 @@ def test_linear_form():
     f = LinearForm((1, 0, -2))
     assert f((3, 5, 1)) == 1
     assert f.dimension == 3
+
+
+def test_linear_form_dimension_mismatch_is_argument_error():
+    with pytest.raises(ArgumentError):
+        LinearForm((1, 0, -2))((3, 5))
 
 
 def test_vector_helpers():

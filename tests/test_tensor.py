@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algcheck.linalg import basis_vector, vec_add, vec_scale
+from algcheck.linalg import basis_vector, vec_add, vec_scale, vector
 from algcheck.reports import ArgumentError
 from algcheck.tensor import (StructureTensor, basis, skew_from_values,
                              sort_with_sign, stored_keys, tensors_equal)
@@ -145,3 +145,80 @@ def test_arity_mismatch_in_evaluate():
         t.evaluate([(1, 0)])
     with pytest.raises(ArgumentError):
         t.evaluate([(1, 0), (1, 0, 0)])
+
+
+# ------------------------------------------- reference: sort-and-sign lookup
+
+
+def reference_basis_product(t, indices):
+    """Basis product read straight from the stored entries: sort the index
+    tuple, apply the permutation sign for skew storage, zero on a repeated
+    skew index or a missing entry."""
+    indices = tuple(indices)
+    zero = (0,) * t.dimension
+    if t.symmetry == "skew":
+        key, sign = sort_with_sign(indices)
+        if any(a == b for a, b in zip(key, key[1:])):
+            return zero
+        value = t.entries.get(key)
+        return zero if value is None else vec_scale(sign, value)
+    if t.symmetry == "symmetric":
+        return t.entries.get(sort_with_sign(indices)[0], zero)
+    return t.entries.get(indices, zero)
+
+
+def reference_evaluate(t, args):
+    """Multilinear expansion over every tuple of nonzero coordinates."""
+    supports = [[(i, c) for i, c in enumerate(a) if c != 0] for a in args]
+    out = [0] * t.dimension
+    for combo in product(*supports):
+        coeff = 1
+        for _, c in combo:
+            coeff *= c
+        term = reference_basis_product(t, tuple(i for i, _ in combo))
+        for i, a in enumerate(term):
+            if a:
+                out[i] += coeff * a
+    return vector(out)
+
+
+sparse_scalars = st.sampled_from((0, 0, 0, 1, -1, 2, Fraction(-1, 2)))
+
+
+@st.composite
+def any_tensors(draw):
+    arity = draw(st.integers(2, 3))
+    dim = draw(st.integers(1, 4))
+    symmetry = draw(st.sampled_from(("none", "skew", "symmetric")))
+    keys = stored_keys(arity, dim, symmetry)
+    vals = draw(st.lists(
+        st.lists(sparse_scalars, min_size=dim, max_size=dim).map(tuple),
+        min_size=len(keys), max_size=len(keys)))
+    return StructureTensor(arity, dim, symmetry, dict(zip(keys, vals)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_tensors(), st.data())
+def test_table_matches_sort_and_sign_reference(t, data):
+    tuples = list(product(range(t.dimension), repeat=t.arity))
+    for key in tuples:
+        assert t.basis_product(key) == reference_basis_product(t, key)
+    args = [data.draw(vectors(t.dimension)) for _ in range(t.arity)]
+    assert t.evaluate(args) == reference_evaluate(t, args)
+    # the same map stored without symmetry compares equal, and differs
+    # from it once any one nonzero product is dropped
+    dense = {key: reference_basis_product(t, key) for key in tuples}
+    assert tensors_equal(t, StructureTensor(t.arity, t.dimension, "none", dense))
+    nonzero = [key for key, v in dense.items() if any(v)]
+    if nonzero:
+        dense[data.draw(st.sampled_from(nonzero))] = (0,) * t.dimension
+        assert not tensors_equal(
+            t, StructureTensor(t.arity, t.dimension, "none", dense))
+
+
+def test_table_is_built_lazily():
+    t = StructureTensor(3, 4, "skew", {(0, 1, 2): basis_vector(4, 3)})
+    assert "table" not in vars(t)
+    assert t.basis_product((2, 0, 1)) == (0, 0, 0, 1)
+    assert len(t.table) == 6  # one key per ordering of the stored tuple
+    assert t.table[(1, 0, 2)] == ((3, -1),)
