@@ -12,13 +12,14 @@ here, not bad input).
 from __future__ import annotations
 
 import logging
+from itertools import combinations
 from itertools import product as iproduct
 
 from .axioms import (check_associative, check_commutative, check_lie,
                      check_n_jacobi, check_prelie)
 from .linalg import (LinearForm, LinearMap, basis_vector, maps_commute,
                      vec_add, vec_is_zero, vec_scale, vec_sub, zero_vector)
-from .operators import SubsetMode, check_derivation, check_rota_baxter, _lambda_powers
+from .operators import _subset_weights, check_derivation, check_rota_baxter
 from .reports import (CheckReport, InternalConsistencyError, PreconditionError,
                       failing, passing)
 from .scalars import norm
@@ -50,6 +51,40 @@ def _verify_annihilating(lie: StructureTensor, f: LinearForm):
             if f(lie.basis_product((i, j))) != 0:
                 raise PreconditionError(
                     f"form does not annihilate brackets: f([e{i}, e{j}]) != 0")
+
+
+def _cyclic_condition(name, d, f: LinearForm, pair, kmap=None) -> CheckReport:
+    """Cyclic f-weighted kernel condition over all d**3 basis triples.
+
+    The condition asks that ``kmap`` (the identity when None) kill
+    E(i, j, k) = f(e_i) B(j, k) + f(e_j) B(k, i) + f(e_k) B(i, j), where
+    ``pair(a, b)`` returns the vector B(a, b).  A failure reports the image
+    of E at the lexicographically least failing triple against zero.
+
+    Every caller's B is skew, B(a, b) = -B(b, a): either a Lie bracket of
+    two vectors, or by construction a difference X(a, b) - X(b, a).  Then E
+    is alternating.  Swapping i and j gives f_j B(i, k) + f_i B(k, j) +
+    f_k B(j, i), which is -E(i, j, k) term by term; E is invariant under
+    cyclic shifts, so every other transposition also negates it.  A
+    repeated index gives zero: E(i, i, k) = f_i (B(i, k) + B(k, i)) +
+    f_k B(i, i) = 0.  ``kmap`` is linear, so its image of E is alternating
+    too.  Hence a triple fails iff its sorted version fails; that version
+    has distinct entries and is the least of its permutations.  So only
+    strictly ascending triples are scanned, in lex order, and the first
+    failure found is the first failure of the full scan, with the same
+    image.  ``checked_count`` is the full d**3.
+    """
+    fr = f.row
+    for idx in combinations(range(d), 3):
+        i, j, k = idx
+        expr = zero_vector(d)
+        for c, (a, b) in ((fr[i], (j, k)), (fr[j], (k, i)), (fr[k], (i, j))):
+            if c:
+                expr = vec_add(expr, vec_scale(c, pair(a, b)))
+        img = expr if kmap is None else kmap(expr)
+        if not vec_is_zero(img):
+            return failing(name, d ** 3, idx, img, zero_vector(d))
+    return passing(name, d ** 3)
 
 
 def f_bracket(lie: StructureTensor, f: LinearForm) -> StructureTensor:
@@ -84,22 +119,9 @@ def thm32_condition(lie: StructureTensor, p: LinearMap, lam,
     fb = f_bracket(lie, f)
     _require(check_rota_baxter(lie, p, lam), "Rota-Baxter identity on the Lie bracket")
     d = lie.dimension
-    fr = f.row
-    kmap = p + LinearMap.scalar(d, lam)
-    count = d ** 3
-    bad = None
-    for idx in iproduct(range(d), repeat=3):
-        i, j, k = idx
-        expr = zero_vector(d)
-        for c, (a, b) in ((fr[i], (j, k)), (fr[j], (k, i)), (fr[k], (i, j))):
-            if c:
-                expr = vec_add(expr, vec_scale(c, lie(p.cols[a], p.cols[b])))
-        img = kmap(expr)
-        if not vec_is_zero(img):
-            bad = (idx, img, zero_vector(d))
-            break
-    cond = (passing("f-bracket-rb-kernel-condition", count) if bad is None
-            else failing("f-bracket-rb-kernel-condition", count, *bad))
+    cond = _cyclic_condition(
+        "f-bracket-rb-kernel-condition", d, f,
+        lambda a, b: lie(p.cols[a], p.cols[b]), p + LinearMap.scalar(d, lam))
     rb = check_rota_baxter(fb, p, lam)
     if cond.passed != rb.passed:
         raise InternalConsistencyError(
@@ -121,24 +143,12 @@ def cor33_condition(lie: StructureTensor, p: LinearMap,
     _require(check_lie(lie), "Lie axioms")
     _verify_annihilating(lie, f)
     d = lie.dimension
-    fr = f.row
-    p2 = p @ p
-    count = d ** 3
-    name = "f-bracket-rb-kerP2-condition"
-    bad = None
-    if any(not vec_is_zero(c) for c in p2.cols):
-        for idx in iproduct(range(d), repeat=3):
-            i, j, k = idx
-            expr = zero_vector(d)
-            for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                u = vec_sub(vec_scale(fr[a], p.cols[b]),
-                            vec_scale(fr[b], p.cols[a]))
-                expr = vec_add(expr, lie(u, basis_vector(d, c)))
-            img = p2(expr)
-            if not vec_is_zero(img):
-                bad = (idx, img, zero_vector(d))
-                break
-    report = passing(name, count) if bad is None else failing(name, count, *bad)
+    # by bilinearity the cyclic sum of [f(x)P(y) - f(y)P(x), z] is
+    # f(x) B(y, z) + cyclic, with B(a, b) = [P(e_a), e_b] - [P(e_b), e_a]
+    report = _cyclic_condition(
+        "f-bracket-rb-kerP2-condition", d, f,
+        lambda a, b: vec_sub(lie(p.cols[a], basis_vector(d, b)),
+                             lie(p.cols[b], basis_vector(d, a))), p @ p)
     try:
         other = thm32_condition(lie, p, 0, f)
     except PreconditionError:
@@ -287,23 +297,11 @@ def thm36_rb_condition(prelie: StructureTensor, p: LinearMap,
     direct verdict."""
     _thm36_preconditions(prelie, p, f)
     d = prelie.dimension
-    fr = f.row
     p2 = p @ p
-    count = d ** 3
-    bad = None
-    for idx in iproduct(range(d), repeat=3):
-        i, j, k = idx
-        expr = zero_vector(d)
-        for c, (a, b) in ((fr[i], (j, k)), (fr[j], (k, i)), (fr[k], (i, j))):
-            if c:
-                comm = vec_sub(prelie(p2.cols[a], p2.cols[b]),
-                               prelie(p2.cols[b], p2.cols[a]))
-                expr = vec_add(expr, vec_scale(c, comm))
-        if not vec_is_zero(expr):
-            bad = (idx, expr, zero_vector(d))
-            break
-    cond = (passing("P2-commutator-vanishing", count) if bad is None
-            else failing("P2-commutator-vanishing", count, *bad))
+    cond = _cyclic_condition(
+        "P2-commutator-vanishing", d, f,
+        lambda a, b: vec_sub(prelie(p2.cols[a], p2.cols[b]),
+                             prelie(p2.cols[b], p2.cols[a])))
     rb = check_rota_baxter(thm36_bracket(prelie, p, f), p, 0)
     if cond.passed != rb.passed:
         raise InternalConsistencyError(
@@ -388,24 +386,12 @@ def thm42_condition(assoc: StructureTensor, p: LinearMap, lam, f: LinearForm,
              "Rota-Baxter identity on the commutative algebra")
     fb = fD_bracket(assoc, f, dmap)
     d = assoc.dimension
-    fr = f.row
     dp = dmap @ p
-    kmap = p + LinearMap.scalar(d, lam)
-    count = d ** 3
-    bad = None
-    for idx in iproduct(range(d), repeat=3):
-        i, j, k = idx
-        expr = zero_vector(d)
-        for c, (a, b) in ((fr[i], (j, k)), (fr[j], (k, i)), (fr[k], (i, j))):
-            if c:
-                expr = vec_add(expr, vec_scale(c, vec_sub(
-                    assoc(dp.cols[a], p.cols[b]), assoc(dp.cols[b], p.cols[a]))))
-        img = kmap(expr)
-        if not vec_is_zero(img):
-            bad = (idx, img, zero_vector(d))
-            break
-    cond = (passing("fD-bracket-rb-kernel-condition", count) if bad is None
-            else failing("fD-bracket-rb-kernel-condition", count, *bad))
+    cond = _cyclic_condition(
+        "fD-bracket-rb-kernel-condition", d, f,
+        lambda a, b: vec_sub(assoc(dp.cols[a], p.cols[b]),
+                             assoc(dp.cols[b], p.cols[a])),
+        p + LinearMap.scalar(d, lam))
     rb = check_rota_baxter(fb, p, lam)
     if cond.passed != rb.passed:
         raise InternalConsistencyError(
@@ -483,26 +469,41 @@ def det_rb_expansion_check(assoc: StructureTensor, p: LinearMap, lam) -> CheckRe
     """Determinant form of the Rota-Baxter subset expansion: for any 3x3
     matrix of algebra elements, the determinant of the P-images of the
     columns equals P of the subset sum with P applied to the columns outside
-    each subset.  Checked for every choice of three basis-vector columns.
+    each subset.  Checked for every choice of three basis-vector columns;
+    ``checked_count`` is that full d**9.
 
-    Products of the 2d generators (basis vectors and their P-images) are
-    tabulated up front so the scan over the d**9 column choices stays cheap.
+    Only strictly ascending column triples are scanned.  Both sides are
+    alternating in the three columns.  Swapping two columns reorders the
+    factors of every product in the expansion, which by commutativity and
+    associativity leaves each product unchanged and flips the sign of its
+    permutation, so every determinant negates.  On the right the swap also
+    exchanges the subset terms of I and of the swapped I, which have the
+    same weight, so the subset sum and its P-image negate as well.  A
+    repeated column therefore makes both sides zero, and a triple of
+    distinct columns fails iff it fails in every column order.  The sorted
+    order is the lexicographically least of those orders, so the first
+    failure among ascending triples in lex order is the first failure of
+    the full scan, with the same two sides.
     """
     _require(check_commutative(assoc), "commutativity")
     _require(check_associative(assoc), "associativity")
     _require(check_rota_baxter(assoc, p, lam), "Rota-Baxter identity")
+    return _det_rb_scan(assoc, p, lam)
+
+
+def _det_rb_scan(assoc: StructureTensor, p: LinearMap, lam) -> CheckReport:
+    """The scan of :func:`det_rb_expansion_check`, without its preconditions.
+
+    Products of the 2d generators (basis vectors and their P-images) are
+    tabulated up front so the scan over column triples stays cheap.
+    """
     d = assoc.dimension
-    lam = norm(lam)
     gens = [basis_vector(d, i) for i in range(d)] + list(p.cols)
-    ng = len(gens)
-    pair = [[assoc(gens[a], gens[b]) for b in range(ng)] for a in range(ng)]
     triple = {}
-    for a in range(ng):
-        for b in range(ng):
-            ab = pair[a][b]
-            if vec_is_zero(ab):
-                continue
-            for c in range(ng):
+    for a, b in iproduct(range(2 * d), repeat=2):
+        ab = assoc(gens[a], gens[b])
+        if not vec_is_zero(ab):
+            for c in range(2 * d):
                 v = assoc(ab, gens[c])
                 if not vec_is_zero(v):
                     triple[(a, b, c)] = v
@@ -521,30 +522,22 @@ def det_rb_expansion_check(assoc: StructureTensor, p: LinearMap, lam) -> CheckRe
                     out[m] += sign * x
         return zero if out is None else tuple(out)
 
-    powers = _lambda_powers(lam, 3)
+    weights = _subset_weights(norm(lam), 3)
     count = d ** 9
     name = "determinant-rb-expansion"
-    cols = list(iproduct(range(d), repeat=3))
-    shifted = {c: tuple(i + d for i in c) for c in cols}
-    for cx in cols:
-        px = shifted[cx]
-        for cy in cols:
-            py = shifted[cy]
-            for cz in cols:
-                pz = shifted[cz]
-                lhs = det(px, py, pz)
-                acc = [0] * d
-                for mask in range(1, 8):
-                    coeff = powers[mask.bit_count()]
-                    if coeff == 0:
-                        continue
-                    v = det(cx if mask & 1 else px,
-                            cy if mask & 2 else py,
-                            cz if mask & 4 else pz)
-                    for m, x in enumerate(v):
-                        if x:
-                            acc[m] += coeff * x
-                rhs = p(tuple(acc))
-                if lhs != rhs:
-                    return failing(name, count, cx + cy + cz, lhs, rhs)
+    shifted = {c: tuple(i + d for i in c) for c in iproduct(range(d), repeat=3)}
+    for cx, cy, cz in combinations(shifted, 3):  # keys are in lex order
+        px, py, pz = shifted[cx], shifted[cy], shifted[cz]
+        lhs = det(px, py, pz)
+        acc = [0] * d
+        for mask, coeff in weights:
+            v = det(cx if mask & 1 else px,
+                    cy if mask & 2 else py,
+                    cz if mask & 4 else pz)
+            for m, x in enumerate(v):
+                if x:
+                    acc[m] += coeff * x
+        rhs = p(tuple(acc))
+        if lhs != rhs:
+            return failing(name, count, cx + cy + cz, lhs, rhs)
     return passing(name, count)

@@ -13,7 +13,7 @@ import json
 
 from .algebra import Algebra, OperatorClaim
 from .linalg import LinearForm, LinearMap
-from .reports import CheckReport, FileFormatError
+from .reports import FileFormatError
 from .scalars import format_rational, parse_rational
 from .tensor import SYMMETRIES, StructureTensor
 

@@ -11,16 +11,15 @@ standard counterexample.
 
 from __future__ import annotations
 
-from itertools import product as iproduct
-
 from .axioms import check_lie, check_lts, check_n_jacobi, check_skew_symmetric
-from .constructions import _require, _verify_annihilating, f_bracket
+from .constructions import (_cyclic_condition, _require, _verify_annihilating,
+                            f_bracket)
 from .linalg import (LinearForm, LinearMap, basis_vector, maps_commute,
-                     vec_add, vec_scale, vec_sub, zero_vector)
+                     vec_add, vec_scale, zero_vector)
 from .operators import (SubsetMode, check_derivation, check_rota_baxter,
                         single_replacement_sum, subset_expansion)
 from .reports import (ArgumentError, CheckReport, InternalConsistencyError,
-                      PreconditionError, failing, passing)
+                      PreconditionError, passing)
 from .scalars import norm
 from .tensor import StructureTensor, skew_from_values, tensors_equal
 
@@ -116,17 +115,12 @@ def _cor54_preconditions(lie, p, lam, f):
     _require(check_rota_baxter(lie, p, lam), "binary Rota-Baxter identity")
     _verify_annihilating(lie, f)
     d = lie.dimension
-    fr = f.row
-    kmap = p + LinearMap.scalar(d, lam)
-    for idx in iproduct(range(d), repeat=3):
-        i, j, k = idx
-        expr = zero_vector(d)
-        for c, (a, b) in ((fr[i], (j, k)), (fr[j], (k, i)), (fr[k], (i, j))):
-            if c:
-                expr = vec_add(expr, vec_scale(c, lie(p.cols[a], p.cols[b])))
-        if any(v != 0 for v in kmap(expr)):
-            raise PreconditionError(
-                f"kernel condition fails at basis triple {idx}")
+    rep = _cyclic_condition(
+        "kernel-condition", d, f, lambda a, b: lie(p.cols[a], p.cols[b]),
+        p + LinearMap.scalar(d, lam))
+    if not rep.passed:
+        raise PreconditionError(
+            f"kernel condition fails at basis triple {rep.counterexample.indices}")
 
 
 def cor54_bracket(lie: StructureTensor, p: LinearMap, lam,

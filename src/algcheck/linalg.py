@@ -81,7 +81,7 @@ class LinearMap:
         d = len(self.cols)
         for c in self.cols:
             if len(c) != d:
-                raise ValueError("LinearMap matrix must be square")
+                raise ArgumentError("LinearMap matrix must be square")
 
     @property
     def dimension(self) -> int:
@@ -120,7 +120,7 @@ class LinearMap:
 
     def __call__(self, v: Vector) -> Vector:
         if len(v) != self.dimension:
-            raise ValueError("dimension mismatch in map application")
+            raise ArgumentError("dimension mismatch in map application")
         out = [0] * self.dimension
         for c, col in zip(v, self.cols):
             if c == 0:

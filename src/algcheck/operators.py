@@ -4,8 +4,9 @@ Both families of identities are instances of one subset-expansion sum over
 the nonempty subsets I of the argument positions, weighted by
 ``lambda**(|I|-1)``; they differ only in whether the map is applied to the
 positions inside I (derivation convention) or outside I (Rota-Baxter
-convention).  A single kernel parameterized by :class:`SubsetMode` serves
-both checkers so the two cannot drift apart.
+convention).  One private term builder serves :func:`subset_expansion` and
+both checkers so they cannot drift apart; the checkers set up the map's
+sparse columns and the subset weights once per check, not once per tuple.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 import enum
 from itertools import product as iproduct
 
-from .axioms import _strict_ascending, check_associative, check_skew_symmetric
-from .linalg import LinearMap, basis_vector, maps_commute, vec_is_zero
+from .axioms import _strict_ascending, check_associative
+from .linalg import LinearMap, basis_vector, maps_commute, vec_is_zero, vector
 from .reports import (ArgumentError, CheckReport, InternalConsistencyError,
                       PreconditionError, failing, passing)
 from .scalars import Scalar, norm
@@ -42,12 +43,28 @@ def _as_mode(mode) -> SubsetMode:
     return mode if isinstance(mode, SubsetMode) else SubsetMode(mode)
 
 
-def _lambda_powers(lam: Scalar, n: int):
-    # powers[s] = lam**(s-1) for subset size s; 0**0 == 1 by convention
+def _subset_weights(lam: Scalar, n: int):
+    """``(mask, lam**(|I|-1))`` for each nonempty subset I of n positions,
+    as a bitmask in increasing order, omitting zero weights (0**0 == 1)."""
     powers = [None, 1]
     for _ in range(2, n + 1):
         powers.append(norm(powers[-1] * lam))
-    return powers
+    return [(mask, powers[mask.bit_count()]) for mask in range(1, 1 << n)
+            if powers[mask.bit_count()] != 0]
+
+
+def _expansion_terms(inside, outside, weights):
+    """The ``contract`` terms of one subset expansion: position i takes the
+    sparse slot ``inside[i]`` when it is in the subset, ``outside[i]``
+    otherwise, and the subset's weight scales the first slot."""
+    terms = []
+    for mask, coeff in weights:
+        slots = [inside[i] if mask >> i & 1 else outside[i]
+                 for i in range(len(inside))]
+        if coeff != 1:
+            slots[0] = tuple((k, coeff * a) for k, a in slots[0])
+        terms.append(slots)
+    return terms
 
 
 def subset_expansion(t: StructureTensor, m: LinearMap, lam, args, mode):
@@ -59,21 +76,26 @@ def subset_expansion(t: StructureTensor, m: LinearMap, lam, args, mode):
         raise ArgumentError(f"expected {n} arguments, got {len(args)}")
     if m.dimension != t.dimension or any(len(a) != t.dimension for a in args):
         raise ArgumentError("dimension mismatch in subset expansion")
-    lam = norm(lam)
     plain = [support(a) for a in args]
     imgs = [support(m(a)) for a in args]
-    powers = _lambda_powers(lam, n)
     inside, outside = (imgs, plain) if mode is SubsetMode.DIFF_CHECK else (plain, imgs)
-    terms = []
-    for mask in range(1, 1 << n):
-        coeff = powers[mask.bit_count()]
-        if coeff == 0:
-            continue
-        slots = [inside[i] if mask >> i & 1 else outside[i] for i in range(n)]
-        if coeff != 1:
-            slots[0] = tuple((k, coeff * a) for k, a in slots[0])
-        terms.append(slots)
-    return t.contract(*terms)
+    return t.contract(*_expansion_terms(inside, outside, _subset_weights(norm(lam), n)))
+
+
+def _basis_scan(t: StructureTensor, m: LinearMap, lam):
+    """``(idx, plain, imgs, weights)`` per scanned basis tuple: the sparse
+    slots of each ``e_i`` and of ``m(e_i)``, set up once per check.  The scan
+    is in lex order, ascending tuples only for skew ``t`` (axioms module)."""
+    if m.dimension != t.dimension:
+        raise ArgumentError("operator dimension does not match the tensor")
+    d = t.dimension
+    unit = [((i, 1),) for i in range(d)]
+    cols = [support(col) for col in m.cols]
+    weights = _subset_weights(norm(lam), t.arity)
+    scan = (_strict_ascending(d, t.arity) if t.symmetry == "skew"
+            else iproduct(range(d), repeat=t.arity))
+    for idx in scan:
+        yield idx, [unit[i] for i in idx], [cols[i] for i in idx], weights
 
 
 def single_replacement_sum(t: StructureTensor, m: LinearMap, args, mode):
@@ -100,19 +122,11 @@ def check_rota_baxter(t: StructureTensor, p: LinearMap, lam) -> CheckReport:
     applied outside each subset.  For binary products this is the classical
     P(x)P(y) = P(P(x)y + xP(y) + lambda xy).
     """
-    if p.dimension != t.dimension:
-        raise ArgumentError("operator dimension does not match the tensor")
     name = "rota-baxter"
     count = t.dimension ** t.arity
-    d = t.dimension
-    ebasis = [basis_vector(d, i) for i in range(d)]
-    # a skew scan covers strictly ascending tuples only (axioms module notes)
-    scan = (_strict_ascending(d, t.arity) if t.symmetry == "skew"
-            else iproduct(range(d), repeat=t.arity))
-    for idx in scan:
-        lhs = t.evaluate([p.cols[i] for i in idx])
-        rhs = p(subset_expansion(
-            t, p, lam, [ebasis[i] for i in idx], SubsetMode.RB_HAT))
+    for idx, plain, imgs, weights in _basis_scan(t, p, lam):
+        lhs = vector(t.contract(imgs))
+        rhs = p(t.contract(*_expansion_terms(plain, imgs, weights)))
         if lhs != rhs:
             return failing(name, count, idx, lhs, rhs)
     return passing(name, count)
@@ -124,18 +138,11 @@ def check_derivation(t: StructureTensor, dmap: LinearMap, lam) -> CheckReport:
     d of a product must equal the subset expansion with d applied inside
     each subset; weight 0 is the ordinary Leibniz rule.
     """
-    if dmap.dimension != t.dimension:
-        raise ArgumentError("operator dimension does not match the tensor")
     name = "derivation"
     count = t.dimension ** t.arity
-    d = t.dimension
-    ebasis = [basis_vector(d, i) for i in range(d)]
-    scan = (_strict_ascending(d, t.arity) if t.symmetry == "skew"
-            else iproduct(range(d), repeat=t.arity))
-    for idx in scan:
+    for idx, plain, imgs, weights in _basis_scan(t, dmap, lam):
         lhs = dmap(t.basis_product(idx))
-        rhs = subset_expansion(
-            t, dmap, lam, [ebasis[i] for i in idx], SubsetMode.DIFF_CHECK)
+        rhs = t.contract(*_expansion_terms(imgs, plain, weights))
         if lhs != rhs:
             return failing(name, count, idx, lhs, rhs)
     return passing(name, count)

@@ -12,7 +12,7 @@ the verifying report as its certificate; nothing trusts the search path.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .algebra import Algebra

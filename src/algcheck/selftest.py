@@ -33,7 +33,6 @@ from .inheritance import (check_derivation_transfer, check_rb_lts_transfer,
 from .linalg import LinearMap, maps_commute
 from .operators import (check_derivation, check_duality, check_rota_baxter,
                         nary_from_associative)
-from .reports import PreconditionError
 from .search import SearchSpec, search
 
 _AXIOM_CHECKS = {

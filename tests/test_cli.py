@@ -234,6 +234,17 @@ def test_search_rational_entries():
     assert code == 0
 
 
+# ------------------------------------------------------------- selftest
+
+
+def test_selftest_two_workers_print_the_single_worker_output():
+    code1, text1 = run("selftest", "--workers", "1")
+    code2, text2 = run("selftest", "--workers", "2")
+    assert code1 == code2 == 0
+    assert text2 == text1
+    assert text1.endswith("selftest: all passed (125 checks)\n")
+
+
 # -------------------------------------------------------------- catalog
 
 

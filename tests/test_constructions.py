@@ -2,11 +2,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from algcheck.axioms import check_n_jacobi, check_prelie
 from algcheck.catalog import (euler_maps, get, monomials, running_sum_map,
                               truncated_poly_product)
-from algcheck.constructions import (cor33_condition, det_bracket_2,
+from algcheck.constructions import (_cyclic_condition, _det_rb_scan,
+                                    cor33_condition, det_bracket_2,
                                     det_bracket_3, det_rb_expansion_check,
                                     derived_prelie, f_bracket, fD_bracket,
                                     fd_bracket_value_forms,
@@ -14,9 +17,12 @@ from algcheck.constructions import (cor33_condition, det_bracket_2,
                                     thm35_f_condition, thm36_bracket,
                                     thm36_f_condition, thm36_rb_condition,
                                     thm42_condition)
-from algcheck.linalg import LinearForm, LinearMap, basis_vector
+from algcheck.linalg import (LinearForm, LinearMap, basis_vector, vec_add,
+                             vec_is_zero, vec_scale, vec_sub, zero_vector)
 from algcheck.operators import check_rota_baxter
-from algcheck.reports import PreconditionError
+from algcheck.reports import PreconditionError, failing, passing
+from algcheck.scalars import norm
+from algcheck.tensor import StructureTensor, stored_keys
 
 # ---------------------------------------------------------------- f-bracket
 
@@ -254,3 +260,221 @@ def test_det_rb_expansion_requires_rb():
     alg = get("q3")
     with pytest.raises(PreconditionError):
         det_rb_expansion_check(alg.products["prod"], alg.maps["P"], 0)
+
+
+# ------------------------------------------- full-scan oracles for the scans
+# The scans above visit only strictly ascending triples.  The oracles below
+# are the full scans they replaced, kept verbatim in form: every triple in
+# lex order.  Verdict, checked_count and counterexample must be identical.
+
+_PERMS3 = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+           ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1))
+
+
+def full_det_rb_scan(assoc, p, lam):
+    """All d**9 choices of three basis columns, in lex order."""
+    d = assoc.dimension
+    lam = norm(lam)
+    gens = [basis_vector(d, i) for i in range(d)] + list(p.cols)
+    ng = len(gens)
+    pair = [[assoc(gens[a], gens[b]) for b in range(ng)] for a in range(ng)]
+    triple = {}
+    for a in range(ng):
+        for b in range(ng):
+            ab = pair[a][b]
+            if vec_is_zero(ab):
+                continue
+            for c in range(ng):
+                v = assoc(ab, gens[c])
+                if not vec_is_zero(v):
+                    triple[(a, b, c)] = v
+    zero = zero_vector(d)
+
+    def det(a, b, c):
+        out = None
+        for perm, sign in _PERMS3:
+            v = triple.get((a[perm[0]], b[perm[1]], c[perm[2]]))
+            if v is None:
+                continue
+            if out is None:
+                out = [0] * d
+            for m, x in enumerate(v):
+                if x:
+                    out[m] += sign * x
+        return zero if out is None else tuple(out)
+
+    powers = [None, 1, lam, norm(lam * lam)]
+    count = d ** 9
+    name = "determinant-rb-expansion"
+    cols = list(product(range(d), repeat=3))
+    shifted = {c: tuple(i + d for i in c) for c in cols}
+    for cx in cols:
+        px = shifted[cx]
+        for cy in cols:
+            py = shifted[cy]
+            for cz in cols:
+                pz = shifted[cz]
+                lhs = det(px, py, pz)
+                acc = [0] * d
+                for mask in range(1, 8):
+                    coeff = powers[bin(mask).count("1")]
+                    if coeff == 0:
+                        continue
+                    v = det(cx if mask & 1 else px,
+                            cy if mask & 2 else py,
+                            cz if mask & 4 else pz)
+                    for m, x in enumerate(v):
+                        if x:
+                            acc[m] += coeff * x
+                rhs = p(tuple(acc))
+                if lhs != rhs:
+                    return failing(name, count, cx + cy + cz, lhs, rhs)
+    return passing(name, count)
+
+
+def _rb_base(d, lam):
+    # a Rota-Baxter operator of weight lam on the componentwise algebra:
+    # P = 0 (weight 0) and the running sum S (weight 1); -S has weight -1
+    if lam == 0:
+        return LinearMap.zero(d)
+    return running_sum_map(d).scaled(lam)
+
+
+@st.composite
+def non_rb_instances(draw, names):
+    name = draw(st.sampled_from(names))
+    assoc = get(name).products["prod"]
+    d = assoc.dimension
+    lam = draw(st.sampled_from([0, 1, -1]))
+    if draw(st.booleans()):
+        # a Rota-Baxter operator moved in one entry
+        rows = [list(r) for r in _rb_base(d, lam).rows()]
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        rows[i][j] += draw(st.sampled_from([-1, 1, Fraction(1, 2)]))
+        p = LinearMap.from_rows(rows)
+    else:
+        p = LinearMap.from_cols(draw(st.lists(
+            st.lists(st.integers(-1, 1), min_size=d, max_size=d),
+            min_size=d, max_size=d)))
+    assume(not check_rota_baxter(assoc, p, lam).passed)
+    return assoc, p, lam
+
+
+@settings(max_examples=40, deadline=None)
+@given(non_rb_instances(["q3", "q4"]))
+def test_det_rb_scan_matches_the_full_column_scan(instance):
+    assoc, p, lam = instance
+    got = _det_rb_scan(assoc, p, lam)
+    want = full_det_rb_scan(assoc, p, lam)
+    # P is not Rota-Baxter, and the identity fails on most such draws
+    event(f"identity {want.verdict}")
+    assert got == want
+    assert got.checked_count == assoc.dimension ** 9
+
+
+def full_cyclic_scan(name, d, expr, kmap=None):
+    """All d**3 triples in lex order; ``expr(i, j, k)`` is the vector whose
+    image must vanish."""
+    for idx in product(range(d), repeat=3):
+        img = expr(*idx)
+        if kmap is not None:
+            img = kmap(img)
+        if not vec_is_zero(img):
+            return failing(name, d ** 3, idx, img, zero_vector(d))
+    return passing(name, d ** 3)
+
+
+def _same_report(got, want):
+    event(f"condition {want.verdict}")
+    return got == want
+
+
+def _cyclic(fr, pair):
+    def expr(i, j, k):
+        out = zero_vector(len(fr))
+        for c, (a, b) in ((fr[i], (j, k)), (fr[j], (k, i)), (fr[k], (i, j))):
+            if c:
+                out = vec_add(out, vec_scale(c, pair(a, b)))
+        return out
+    return expr
+
+
+def _perturbed(t, key, k, delta):
+    """``t`` with one structure constant, coordinate k of entry key, moved."""
+    entries = dict(t.entries)
+    value = list(entries.get(key, zero_vector(t.dimension)))
+    value[k] += delta
+    entries[key] = tuple(value)
+    return StructureTensor(t.arity, t.dimension, t.symmetry, entries)
+
+
+def _small_map(d):
+    return st.lists(st.lists(st.integers(-1, 1), min_size=d, max_size=d),
+                    min_size=d, max_size=d).map(LinearMap.from_cols)
+
+
+@st.composite
+def perturbed_products(draw, name, product_name):
+    t = get(name).products[product_name]
+    d = t.dimension
+    key = draw(st.sampled_from(stored_keys(t.arity, d, t.symmetry)))
+    k = draw(st.integers(0, d - 1))
+    t = _perturbed(t, key, k, draw(st.sampled_from([-1, 1, Fraction(1, 2)])))
+    f = LinearForm(tuple(draw(st.lists(st.integers(-1, 1), min_size=d,
+                                       max_size=d))))
+    return t, draw(_small_map(d)), f, draw(st.sampled_from([0, 1, -1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(perturbed_products("heisenberg_line", "bracket"))
+def test_cyclic_condition_lie_forms_match_the_full_scan(instance):
+    lie, p, f, lam = instance
+    d = lie.dimension
+    # thm32 / cor54 form: [P(y), P(z)] under P + lambda
+    kmap = p + LinearMap.scalar(d, lam)
+    pair = lambda a, b: lie(p.cols[a], p.cols[b])  # noqa: E731
+    assert _same_report(_cyclic_condition("c", d, f, pair, kmap),
+                        full_cyclic_scan("c", d, _cyclic(f.row, pair), kmap))
+    # cor33 form, as written before the rewrite:
+    # sum over cyclic (x, y, z) of [f(x)P(y) - f(y)P(x), z], under P^2
+    p2 = p @ p
+
+    def kerp2_expr(i, j, k):
+        out = zero_vector(d)
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            u = vec_sub(vec_scale(f.row[a], p.cols[b]),
+                        vec_scale(f.row[b], p.cols[a]))
+            out = vec_add(out, lie(u, basis_vector(d, c)))
+        return out
+
+    def kerp2_pair(a, b):
+        return vec_sub(lie(p.cols[a], basis_vector(d, b)),
+                       lie(p.cols[b], basis_vector(d, a)))
+
+    assert _same_report(_cyclic_condition("c", d, f, kerp2_pair, p2),
+                        full_cyclic_scan("c", d, kerp2_expr, p2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(perturbed_products("qt4", "prelie"))
+def test_cyclic_condition_commutator_form_matches_the_full_scan(instance):
+    prelie, p, f, _ = instance
+    d = prelie.dimension
+    p2 = p @ p  # thm36 form: commutators of P^2-images, no map
+    pair = lambda a, b: vec_sub(prelie(p2.cols[a], p2.cols[b]),  # noqa: E731
+                                prelie(p2.cols[b], p2.cols[a]))
+    assert _same_report(_cyclic_condition("c", d, f, pair),
+                        full_cyclic_scan("c", d, _cyclic(f.row, pair)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(perturbed_products("qt4", "prod"))
+def test_cyclic_condition_fd_form_matches_the_full_scan(instance):
+    assoc, p, f, lam = instance
+    d = assoc.dimension
+    dp = get("qt4").maps["D"] @ p  # thm42 form, under P + lambda
+    kmap = p + LinearMap.scalar(d, lam)
+    pair = lambda a, b: vec_sub(assoc(dp.cols[a], p.cols[b]),  # noqa: E731
+                                assoc(dp.cols[b], p.cols[a]))
+    assert _same_report(_cyclic_condition("c", d, f, pair, kmap),
+                        full_cyclic_scan("c", d, _cyclic(f.row, pair), kmap))

@@ -96,6 +96,13 @@ def test_linear_form_dimension_mismatch_is_argument_error():
         LinearForm((1, 0, -2))((3, 5))
 
 
+def test_linear_map_dimension_errors_are_argument_errors():
+    with pytest.raises(ArgumentError, match="square"):
+        LinearMap(((1, 0),))
+    with pytest.raises(ArgumentError, match="map application"):
+        LinearMap.identity(2)((1, 2, 3))
+
+
 def test_vector_helpers():
     assert vector([Fraction(2, 1), Fraction(1, 2)]) == (2, Fraction(1, 2))
     assert vec_add((1, 2), (3, 4)) == (4, 6)

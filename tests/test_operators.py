@@ -1,8 +1,8 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from algcheck.catalog import get, running_sum_map
@@ -10,8 +10,8 @@ from algcheck.linalg import LinearMap, basis_vector, vec_add, vec_scale
 from algcheck.operators import (SubsetMode, check_derivation, check_duality,
                                 check_rota_baxter, nary_from_associative,
                                 single_replacement_sum, subset_expansion)
-from algcheck.reports import ArgumentError, PreconditionError
-from algcheck.tensor import StructureTensor, stored_keys
+from algcheck.reports import ArgumentError, PreconditionError, failing, passing
+from algcheck.tensor import SYMMETRIES, StructureTensor, stored_keys
 
 # ---------------------------------------------------------------- oracles
 
@@ -212,3 +212,91 @@ def test_nary_power_truncated_poly():
     assert nary.basis_product((1, 1, 1)) == (0, 0, 0, 1)
     assert nary.basis_product((0, 1, 2)) == (0, 0, 0, 1)
     assert nary.basis_product((1, 2, 2)) == (0, 0, 0, 0)
+
+
+# ------------------------------- per-check set-up against per-tuple forms
+# The checkers build the map's sparse columns and the subset weights once
+# per check.  These are the per-tuple forms they replaced, one public
+# subset_expansion call per basis tuple; every report must be identical,
+# down to the int or Fraction type of each counterexample coordinate.
+
+
+def _seed_scan(t):
+    d = t.dimension
+    return (combinations(range(d), t.arity) if t.symmetry == "skew"
+            else product(range(d), repeat=t.arity))
+
+
+def seed_check_rota_baxter(t, p, lam):
+    count = t.dimension ** t.arity
+    ebasis = [basis_vector(t.dimension, i) for i in range(t.dimension)]
+    for idx in _seed_scan(t):
+        lhs = t.evaluate([p.cols[i] for i in idx])
+        rhs = p(subset_expansion(
+            t, p, lam, [ebasis[i] for i in idx], SubsetMode.RB_HAT))
+        if lhs != rhs:
+            return failing("rota-baxter", count, idx, lhs, rhs)
+    return passing("rota-baxter", count)
+
+
+def seed_check_derivation(t, dmap, lam):
+    count = t.dimension ** t.arity
+    ebasis = [basis_vector(t.dimension, i) for i in range(t.dimension)]
+    for idx in _seed_scan(t):
+        lhs = dmap(t.basis_product(idx))
+        rhs = subset_expansion(
+            t, dmap, lam, [ebasis[i] for i in idx], SubsetMode.DIFF_CHECK)
+        if lhs != rhs:
+            return failing("derivation", count, idx, lhs, rhs)
+    return passing("derivation", count)
+
+
+_scalars = st.one_of(st.integers(-2, 2),
+                     st.fractions(min_value=-2, max_value=2, max_denominator=2))
+
+
+@st.composite
+def random_tensors(draw, dim=3):
+    arity = draw(st.sampled_from([2, 3]))
+    symmetry = draw(st.sampled_from(SYMMETRIES))
+    keys = stored_keys(arity, dim, symmetry)
+    vals = draw(st.lists(st.lists(_scalars, min_size=dim, max_size=dim),
+                         min_size=len(keys), max_size=len(keys)))
+    # sparse: most products vanish, so some checks pass
+    mask = draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+    return StructureTensor(arity, dim, symmetry,
+                           {k: v for k, v, keep in zip(keys, vals, mask) if keep})
+
+
+def random_maps(dim=3):
+    return st.one_of(
+        st.lists(st.lists(_scalars, min_size=dim, max_size=dim),
+                 min_size=dim, max_size=dim).map(LinearMap.from_cols),
+        st.sampled_from([LinearMap.zero(dim), LinearMap.identity(dim),
+                         LinearMap.scalar(dim, -1)]))
+
+
+_weights = st.sampled_from([0, 1, -1, 2, Fraction(1, 2)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_tensors(), random_maps(), _weights)
+def test_check_rota_baxter_matches_the_per_tuple_form(t, p, lam):
+    got, want = check_rota_baxter(t, p, lam), seed_check_rota_baxter(t, p, lam)
+    event(want.verdict)
+    assert got == want and repr(got) == repr(want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_tensors(), random_maps(), _weights)
+def test_check_derivation_matches_the_per_tuple_form(t, dmap, lam):
+    got, want = check_derivation(t, dmap, lam), seed_check_derivation(t, dmap, lam)
+    event(want.verdict)
+    assert got == want and repr(got) == repr(want)
+
+
+def test_operator_checks_reject_a_map_of_another_dimension():
+    t = get("q3").products["prod"]
+    for check in (check_rota_baxter, check_derivation):
+        with pytest.raises(ArgumentError):
+            check(t, running_sum_map(2), 1)
