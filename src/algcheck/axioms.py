@@ -17,6 +17,7 @@ Degenerate dimensions 0 and 1 are legal; checks pass vacuously.
 
 from __future__ import annotations
 
+from functools import wraps
 from itertools import combinations, product as iproduct
 
 from .linalg import LinearForm, LinearMap, basis_vector, nullspace, vec_is_zero, vec_sub
@@ -28,6 +29,16 @@ def _strict_ascending(dimension, length):
     return combinations(range(dimension), length)
 
 
+def _kept(check):
+    """``check(t)`` computed once per tensor: its report depends on the
+    frozen tensor alone, so it is kept on ``t`` (``StructureTensor._memo``)."""
+    @wraps(check)
+    def kept(t: StructureTensor) -> CheckReport:
+        return t._memo(check.__name__, check)
+    return kept
+
+
+@_kept
 def check_skew_symmetric(t: StructureTensor) -> CheckReport:
     """Does evaluation change sign under every transposition of arguments?
 
@@ -60,6 +71,7 @@ def _require_skew(t):
                 f"(violation at basis tuple {rep.counterexample.indices})")
 
 
+@_kept
 def check_n_jacobi(t: StructureTensor) -> CheckReport:
     """Fundamental identity of an n-Lie bracket, over all basis tuples.
 
@@ -118,6 +130,7 @@ def _associator(t, i, j, k):
             t.contract((i, pairs((j, k), ()))))
 
 
+@_kept
 def check_associative(t: StructureTensor) -> CheckReport:
     if t.arity != 2:
         raise ArgumentError("associativity is a binary axiom")
@@ -130,6 +143,7 @@ def check_associative(t: StructureTensor) -> CheckReport:
     return passing("associative", count)
 
 
+@_kept
 def check_commutative(t: StructureTensor) -> CheckReport:
     if t.arity != 2:
         raise ArgumentError("commutativity is a binary axiom")
@@ -144,6 +158,7 @@ def check_commutative(t: StructureTensor) -> CheckReport:
     return passing("commutative", count)
 
 
+@_kept
 def check_lie(t: StructureTensor) -> CheckReport:
     """Antisymmetry plus the binary Jacobi identity (cyclic form)."""
     if t.arity != 2:
@@ -163,6 +178,7 @@ def check_lie(t: StructureTensor) -> CheckReport:
     return passing("lie", count)
 
 
+@_kept
 def check_prelie(t: StructureTensor) -> CheckReport:
     """Left pre-Lie: the associator is symmetric in its first two arguments."""
     if t.arity != 2:
@@ -179,6 +195,7 @@ def check_prelie(t: StructureTensor) -> CheckReport:
     return passing("prelie", count)
 
 
+@_kept
 def check_lts(t: StructureTensor) -> CheckReport:
     """The three Lie-triple-system axioms, in order.
 

@@ -180,6 +180,15 @@ def _cmd_search(args, out):
         strategy=args.strategy, map=args.map or "", entry_set=entry_set,
         max_candidates=args.max_candidates, seed=args.seed)
     results = search(alg, spec)
+    if spec.strategy == "grid":
+        cells = alg.products[pname].dimension ** 2
+        space = len(entry_set) ** cells
+        if spec.max_candidates < space:
+            # str() refuses integers of more than 4300 digits
+            total = (space if space.bit_length() <= 10_000
+                     else f"{len(entry_set)}**{cells}")
+            print(f"note: grid search stopped after {spec.max_candidates} "
+                  f"of {total} candidates", file=sys.stderr)
     print(f"{len(results)} result(s) for target {args.target}", file=out)
     for i, res in enumerate(results):
         if hasattr(res.found, "cols"):

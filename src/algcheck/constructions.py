@@ -37,6 +37,11 @@ def _require(report: CheckReport, what: str):
             f"{what} fails at basis tuple {report.counterexample.indices}")
 
 
+def _require_comm_assoc(assoc: StructureTensor):
+    _require(check_commutative(assoc), "commutativity")
+    _require(check_associative(assoc), "associativity")
+
+
 def _assert_jacobi(t: StructureTensor, theorem: str):
     rep = check_n_jacobi(t)
     if not rep.passed:
@@ -209,8 +214,7 @@ def prelie_from_comm_assoc(assoc: StructureTensor, dmap: LinearMap) -> Structure
     two products are opposite algebras of each other and share the same
     commutator up to sign.
     """
-    _require(check_commutative(assoc), "commutativity")
-    _require(check_associative(assoc), "associativity")
+    _require_comm_assoc(assoc)
     _require(check_derivation(assoc, dmap, 0), "derivation identity")
     d = assoc.dimension
 
@@ -311,8 +315,7 @@ def thm36_rb_condition(prelie: StructureTensor, p: LinearMap,
 
 
 def _fd_preconditions(assoc, f, dmap):
-    _require(check_commutative(assoc), "commutativity")
-    _require(check_associative(assoc), "associativity")
+    _require_comm_assoc(assoc)
     _require(check_derivation(assoc, dmap, 0), "derivation identity")
     d = assoc.dimension
     for i in range(d):
@@ -418,8 +421,7 @@ def _det3_elements(assoc, rows):
 
 
 def _det_preconditions(assoc, dmaps):
-    _require(check_commutative(assoc), "commutativity")
-    _require(check_associative(assoc), "associativity")
+    _require_comm_assoc(assoc)
     for idx, dm in enumerate(dmaps):
         _require(check_derivation(assoc, dm, 0), f"derivation identity of D{idx + 1}")
     for a in range(len(dmaps)):
@@ -485,8 +487,7 @@ def det_rb_expansion_check(assoc: StructureTensor, p: LinearMap, lam) -> CheckRe
     failure among ascending triples in lex order is the first failure of
     the full scan, with the same two sides.
     """
-    _require(check_commutative(assoc), "commutativity")
-    _require(check_associative(assoc), "associativity")
+    _require_comm_assoc(assoc)
     _require(check_rota_baxter(assoc, p, lam), "Rota-Baxter identity")
     return _det_rb_scan(assoc, p, lam)
 

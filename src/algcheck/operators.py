@@ -171,7 +171,14 @@ def check_duality(t: StructureTensor, p: LinearMap, lam) -> CheckReport:
 def nary_from_associative(t: StructureTensor, n: int) -> StructureTensor:
     """Arity-n tensor of left-nested n-fold products of an associative
     binary product.  Associativity is a verified precondition (it makes the
-    nesting order immaterial; left-to-right is fixed for reproducibility)."""
+    nesting order immaterial; left-to-right is fixed for reproducibility).
+
+    The power is kept on the frozen ``t``: every call with the same ``n``
+    returns the same tensor, whose own table and verdicts are then kept."""
+    return t._memo(("nary_from_associative", n), _nary_power, n)
+
+
+def _nary_power(t: StructureTensor, n: int) -> StructureTensor:
     if n < 2:
         raise ArgumentError("arity must be at least 2")
     rep = check_associative(t)

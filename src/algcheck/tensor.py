@@ -12,6 +12,8 @@ nonzero product to the nonzero ``(k, c)`` pairs of that product, with the
 sign of the sorting permutation already applied for skew storage.  It holds
 about ``n! * len(entries)`` keys, not ``d**n``; a tuple with a repeated index
 is absent from a skew table, so skew-symmetry holds by construction.
+Values that depend on the tensor alone, such as axiom verdicts and n-ary
+powers, are kept on it in the same way (``StructureTensor._memo``).
 :meth:`StructureTensor.contract` expands multilinear products of sparse
 arguments over that table and is the one contraction kernel of the package.
 """
@@ -99,6 +101,20 @@ class StructureTensor:
             for p, sign in perms:
                 table[tuple(key[i] for i in p)] = pairs if sign > 0 else neg
         return table
+
+    def _memo(self, key, fn, *args):
+        """``fn(self, *args)``, computed once per tensor and ``key``.
+
+        For values that depend on the tensor alone, such as axiom verdicts:
+        the tensor is frozen, so they stay valid, as :attr:`table` does.
+        They live in the instance ``__dict__``, outside the fields that
+        equality compares.  An exception is not stored; it is raised again
+        on every call.
+        """
+        memo = self.__dict__.setdefault("_memo_values", {})
+        if key not in memo:
+            memo[key] = fn(self, *args)
+        return memo[key]
 
     def contract(self, *terms) -> Vector:
         """Sum of the multilinear products ``terms`` as a dense vector.

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -12,7 +13,8 @@ from algcheck.axioms import (ad_map, annihilator_of_image, check_associative,
 from algcheck.catalog import get
 from algcheck.linalg import basis_vector, vec_add, vec_is_zero, vec_scale
 from algcheck.reports import ArgumentError, InternalConsistencyError
-from algcheck.tensor import StructureTensor, sort_with_sign, stored_keys
+from algcheck.tensor import (StructureTensor, sort_with_sign, stored_keys,
+                             tensors_equal)
 
 # ---------------------------------------------------------------- oracles
 
@@ -302,3 +304,71 @@ def test_annihilator_of_image():
     # image spans e3 -> annihilator is the span of e1*, e2*
     assert [f.row for f in forms] == [(1, 0, 0), (0, 1, 0)]
     assert annihilator_of_image(get("a4").products["bracket"]) == []
+
+
+# ------------------------------------------------------- kept reports
+# A tensor-only check runs once per tensor and keeps its report on it.
+# Catalog tensors live for the whole process, so these tests copy them:
+# on a copy no earlier call can have kept a report.
+
+
+def _copy(t):
+    return StructureTensor(t.arity, t.dimension, t.symmetry, t.entries)
+
+
+def _product(name, pname):
+    return _copy(get(name).products[pname])
+
+
+def _kept_cases():
+    """(check, passing tensor, failing tensor) for each tensor-only check."""
+    from algcheck.inheritance import lts_from_lie
+    return [
+        (check_skew_symmetric,
+         StructureTensor(2, 2, "none", {(0, 1): (1, 0), (1, 0): (-1, 0)}),
+         _product("q3", "prod")),
+        (check_n_jacobi, _product("a4", "bracket"),
+         StructureTensor(3, 4, "skew", {(0, 1, 2): basis_vector(4, 3),
+                                        (0, 1, 3): basis_vector(4, 0)})),
+        (check_associative, _product("q4", "prod"), _product("qt4", "prelie")),
+        (check_commutative, _product("q4", "prod"), _product("qt4", "prelie")),
+        (check_lie, _product("heisenberg", "bracket"), _product("q3", "prod")),
+        (check_prelie, _product("qt4", "prelie"),
+         _product("nonabelian2", "bracket")),
+        (check_lts, _copy(lts_from_lie(get("nonabelian2").products["bracket"])),
+         _product("a4", "bracket")),
+    ]
+
+
+def test_each_check_keeps_its_report_on_the_tensor():
+    for check, good, bad in _kept_cases():
+        for t, passed in ((good, True), (bad, False)):
+            rep = check(t)
+            assert rep.passed is passed, check.__name__
+            assert check(t) is rep  # same verdict and counterexample
+            # an equal but distinct tensor is scanned for its own report
+            twin = _copy(t)
+            own = check(twin)
+            assert own is not rep and own == rep
+            assert own == check.__wrapped__(_copy(t))
+
+
+def test_kept_reports_leave_equality_and_pickling_alone():
+    t, u = _product("a4", "bracket"), _product("a4", "bracket")
+    check_n_jacobi(t)
+    check_lts(t)
+    assert t == u and tensors_equal(t, u) and repr(t) == repr(u)
+    again = pickle.loads(pickle.dumps(t))
+    assert again == t and tensors_equal(again, t)
+    assert check_n_jacobi(again) == check_n_jacobi(u)
+    assert check_lts(again) == check_lts(u)
+
+
+def test_argument_errors_are_raised_on_every_call():
+    ternary, binary = _product("a4", "bracket"), _product("q3", "prod")
+    for check, t in ((check_associative, ternary), (check_commutative, ternary),
+                     (check_lie, ternary), (check_prelie, ternary),
+                     (check_lts, binary), (check_n_jacobi, binary)):
+        for _ in range(2):
+            with pytest.raises(ArgumentError):
+                check(t)

@@ -1,10 +1,12 @@
 import io
 import json
 
+from algcheck.algebra import Algebra
 from algcheck.catalog import catalog_names
 from algcheck.cli import run_cli
 from algcheck.files import dumps, load
 from algcheck.catalog import get
+from algcheck.tensor import StructureTensor
 
 
 def run(*argv):
@@ -232,6 +234,40 @@ def test_search_rational_entries():
     code, text = run("search", "nonabelian2", "--target", "rb_operator",
                      "--entries", "0,1/2", "--weight", "0")
     assert code == 0
+
+
+def test_search_cut_short_says_so_on_stderr(tmp_path, capsys):
+    path = tmp_path / "rep.json"
+    code, text = run("search", "q3", "--target", "rb_operator", "--weight", "1",
+                     "--max-candidates", "50", "--report", str(path))
+    assert code == 0
+    assert text == "0 result(s) for target rb_operator\n"
+    assert capsys.readouterr().err == (
+        "note: grid search stopped after 50 of 19683 candidates\n")
+    assert json.loads(path.read_text())["results"] == []
+
+
+def test_search_covering_the_grid_prints_no_note(capsys):
+    code, text = run("search", "nonabelian2", "--target", "rb_operator",
+                     "--max-candidates", "81")
+    assert code == 0
+    assert "15 result(s)" in text
+    assert capsys.readouterr().err == ""
+
+
+def test_search_note_on_a_grid_too_large_to_print(tmp_path, capsys):
+    # 3**9025 has more digits than str() converts, so the note keeps the power
+    d = 95
+    alg = Algebra("big", d, tuple(f"e{i}" for i in range(d)),
+                  {"prod": StructureTensor.zero(2, d)})
+    path = tmp_path / "big.json"
+    path.write_text(dumps(alg))
+    code, text = run("search", str(path), "--target", "rb_operator",
+                     "--entries", "0,1,2", "--max-candidates", "1")
+    assert code == 0
+    assert text.startswith("1 result(s)")
+    assert capsys.readouterr().err == (
+        "note: grid search stopped after 1 of 3**9025 candidates\n")
 
 
 # ------------------------------------------------------------- selftest

@@ -205,6 +205,31 @@ def test_nary_from_associative_requires_associativity():
         nary_from_associative(get("q3").products["prod"], 1)
 
 
+def test_nary_power_is_kept_on_its_factor():
+    q4 = get("q4").products["prod"]
+
+    def copy():  # nothing is kept on a copy yet
+        return StructureTensor(q4.arity, q4.dimension, q4.symmetry, q4.entries)
+
+    t = copy()
+    nary = nary_from_associative(t, 3)
+    assert nary_from_associative(t, 3) is nary
+    assert nary_from_associative(t, 4).arity == 4
+    assert nary_from_associative(t, 3) is nary
+    # an equal but distinct factor builds its own, equal power
+    other = nary_from_associative(copy(), 3)
+    assert other is not nary and other == nary
+
+
+def test_nary_power_errors_are_raised_on_every_call():
+    prelie = get("qt4").products["prelie"]
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            nary_from_associative(prelie, 3)
+        with pytest.raises(ArgumentError):
+            nary_from_associative(get("q3").products["prod"], 1)
+
+
 def test_nary_power_truncated_poly():
     t = get("qt4").products["prod"]
     nary = nary_from_associative(t, 3)
