@@ -30,8 +30,7 @@ def _strict_ascending(dimension, length):
 
 
 def _kept(check):
-    """``check(t)`` computed once per tensor: its report depends on the
-    frozen tensor alone, so it is kept on ``t`` (``StructureTensor._memo``)."""
+    """``check(t)``, whose report depends on the frozen ``t`` alone, kept on it."""
     @wraps(check)
     def kept(t: StructureTensor) -> CheckReport:
         return t._memo(check.__name__, check)

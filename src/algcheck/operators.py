@@ -172,9 +172,7 @@ def nary_from_associative(t: StructureTensor, n: int) -> StructureTensor:
     """Arity-n tensor of left-nested n-fold products of an associative
     binary product.  Associativity is a verified precondition (it makes the
     nesting order immaterial; left-to-right is fixed for reproducibility).
-
-    The power is kept on the frozen ``t``: every call with the same ``n``
-    returns the same tensor, whose own table and verdicts are then kept."""
+    The power is kept on ``t``: each call with the same ``n`` returns it."""
     return t._memo(("nary_from_associative", n), _nary_power, n)
 
 

@@ -103,14 +103,10 @@ class StructureTensor:
         return table
 
     def _memo(self, key, fn, *args):
-        """``fn(self, *args)``, computed once per tensor and ``key``.
-
-        For values that depend on the tensor alone, such as axiom verdicts:
-        the tensor is frozen, so they stay valid, as :attr:`table` does.
-        They live in the instance ``__dict__``, outside the fields that
-        equality compares.  An exception is not stored; it is raised again
-        on every call.
-        """
+        """``fn(self, *args)`` for a value that depends on the frozen tensor
+        alone, computed once per ``key`` and kept, like :attr:`table`, in the
+        instance ``__dict__``, outside the fields that equality compares.
+        An exception is not kept; every call raises it."""
         memo = self.__dict__.setdefault("_memo_values", {})
         if key not in memo:
             memo[key] = fn(self, *args)
