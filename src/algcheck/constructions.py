@@ -16,14 +16,15 @@ from itertools import combinations
 from itertools import product as iproduct
 
 from .axioms import (check_associative, check_commutative, check_lie,
-                     check_n_jacobi, check_prelie)
+                     check_n_jacobi, check_prelie, check_skew_symmetric,
+                     commutator)
 from .linalg import (LinearForm, LinearMap, basis_vector, maps_commute,
                      vec_add, vec_is_zero, vec_scale, vec_sub, zero_vector)
 from .operators import _subset_weights, check_derivation, check_rota_baxter
 from .reports import (CheckReport, InternalConsistencyError, PreconditionError,
                       failing, passing)
 from .scalars import norm
-from .tensor import StructureTensor
+from .tensor import StructureTensor, support
 
 logger = logging.getLogger("algcheck")
 
@@ -58,12 +59,44 @@ def _verify_annihilating(lie: StructureTensor, f: LinearForm):
                     f"form does not annihilate brackets: f([e{i}, e{j}]) != 0")
 
 
+def _cols(m: LinearMap, c=1) -> list:
+    """The columns of ``c * m`` as sparse ``contract`` slots."""
+    return [tuple((k, c * a) for k, a in support(col)) for col in m.cols]
+
+
+def _twisted(t: StructureTensor, left: LinearMap, right: LinearMap = None):
+    """``pair(a, b)`` = t(L e_a, R e_b) - t(L e_b, R e_a) as one ``contract``
+    over the sparse columns of L and R (the identity when None), set up
+    once; B is skew by construction."""
+    lc, neg = _cols(left), _cols(left, -1)
+    rc = range(t.dimension) if right is None else _cols(right)
+    return lambda a, b: t.contract((lc[a], rc[b]), (neg[b], rc[a]))
+
+
+def _cyclic(f: LinearForm, pair):
+    """E(i, j, k) = f(e_i) B(j, k) + f(e_j) B(k, i) + f(e_k) B(i, j) as a
+    function of the triple (i, j, k), where ``pair(a, b)`` is the vector
+    B(a, b).  Every bracket and kernel condition of the paper's
+    constructions has this form."""
+    fr = f.row
+
+    def expr(key):
+        i, j, k = key
+        out = [0] * len(fr)
+        for c, (a, b) in ((fr[i], (j, k)), (fr[j], (k, i)), (fr[k], (i, j))):
+            if c:
+                for m, x in enumerate(pair(a, b)):
+                    if x:
+                        out[m] += c * x
+        return tuple(out)
+    return expr
+
+
 def _cyclic_condition(name, d, f: LinearForm, pair, kmap=None) -> CheckReport:
     """Cyclic f-weighted kernel condition over all d**3 basis triples.
 
-    The condition asks that ``kmap`` (the identity when None) kill
-    E(i, j, k) = f(e_i) B(j, k) + f(e_j) B(k, i) + f(e_k) B(i, j), where
-    ``pair(a, b)`` returns the vector B(a, b).  A failure reports the image
+    The condition asks that ``kmap`` (the identity when None) kill the
+    expression E(i, j, k) of :func:`_cyclic`.  A failure reports the image
     of E at the lexicographically least failing triple against zero.
 
     Every caller's B is skew, B(a, b) = -B(b, a): either a Lie bracket of
@@ -79,15 +112,10 @@ def _cyclic_condition(name, d, f: LinearForm, pair, kmap=None) -> CheckReport:
     failure found is the first failure of the full scan, with the same
     image.  ``checked_count`` is the full d**3.
     """
-    fr = f.row
+    expr = _cyclic(f, pair)
     for idx in combinations(range(d), 3):
-        i, j, k = idx
-        expr = zero_vector(d)
-        for c, (a, b) in ((fr[i], (j, k)), (fr[j], (k, i)), (fr[k], (i, j))):
-            if c:
-                expr = vec_add(expr, vec_scale(c, pair(a, b)))
-        img = expr if kmap is None else kmap(expr)
-        if not vec_is_zero(img):
+        img = expr(idx) if kmap is None else kmap(expr(idx))
+        if any(img):
             return failing(name, d ** 3, idx, img, zero_vector(d))
     return passing(name, d ** 3)
 
@@ -97,17 +125,8 @@ def f_bracket(lie: StructureTensor, f: LinearForm) -> StructureTensor:
     and a form vanishing on all brackets."""
     _require(check_lie(lie), "Lie axioms")
     _verify_annihilating(lie, f)
-    fr = f.row
-
-    def value(key):
-        i, j, k = key
-        out = zero_vector(lie.dimension)
-        for c, pair in ((fr[i], (j, k)), (fr[j], (k, i)), (fr[k], (i, j))):
-            if c:
-                out = vec_add(out, vec_scale(c, lie.basis_product(pair)))
-        return out
-
-    t = StructureTensor.from_function(3, lie.dimension, "skew", value)
+    t = StructureTensor.from_function(
+        3, lie.dimension, "skew", _cyclic(f, lambda a, b: lie.contract((a, b))))
     _assert_jacobi(t, "f-bracket construction")
     return t
 
@@ -124,9 +143,10 @@ def thm32_condition(lie: StructureTensor, p: LinearMap, lam,
     fb = f_bracket(lie, f)
     _require(check_rota_baxter(lie, p, lam), "Rota-Baxter identity on the Lie bracket")
     d = lie.dimension
+    pc = _cols(p)
     cond = _cyclic_condition(
         "f-bracket-rb-kernel-condition", d, f,
-        lambda a, b: lie(p.cols[a], p.cols[b]), p + LinearMap.scalar(d, lam))
+        lambda a, b: lie.contract((pc[a], pc[b])), p + LinearMap.scalar(d, lam))
     rb = check_rota_baxter(fb, p, lam)
     if cond.passed != rb.passed:
         raise InternalConsistencyError(
@@ -147,13 +167,10 @@ def cor33_condition(lie: StructureTensor, p: LinearMap,
     """
     _require(check_lie(lie), "Lie axioms")
     _verify_annihilating(lie, f)
-    d = lie.dimension
     # by bilinearity the cyclic sum of [f(x)P(y) - f(y)P(x), z] is
     # f(x) B(y, z) + cyclic, with B(a, b) = [P(e_a), e_b] - [P(e_b), e_a]
-    report = _cyclic_condition(
-        "f-bracket-rb-kerP2-condition", d, f,
-        lambda a, b: vec_sub(lie(p.cols[a], basis_vector(d, b)),
-                             lie(p.cols[b], basis_vector(d, a))), p @ p)
+    report = _cyclic_condition("f-bracket-rb-kerP2-condition", lie.dimension,
+                               f, _twisted(lie, p), p @ p)
     try:
         other = thm32_condition(lie, p, 0, f)
     except PreconditionError:
@@ -181,17 +198,13 @@ def derived_prelie(prelie: StructureTensor, p: LinearMap, lam) -> StructureTenso
     _require(check_prelie(prelie), "pre-Lie axiom")
     _require(check_rota_baxter(prelie, p, lam), "Rota-Baxter identity")
     lam = norm(lam)
-    d = prelie.dimension
+    pc, neg = _cols(p), _cols(p, -1)
 
     def value(key):
         i, j = key
-        out = vec_sub(prelie(p.cols[i], basis_vector(d, j)),
-                      prelie(basis_vector(d, j), p.cols[i]))
-        if lam:
-            out = vec_add(out, vec_scale(lam, prelie.basis_product((i, j))))
-        return out
+        return prelie.contract((pc[i], j), (j, neg[i]), (((i, lam),), j))
 
-    t = StructureTensor.from_function(2, d, "none", value)
+    t = StructureTensor.from_function(2, prelie.dimension, "none", value)
     rep = check_prelie(t)
     if not rep.passed:
         if lam == 0:
@@ -216,13 +229,10 @@ def prelie_from_comm_assoc(assoc: StructureTensor, dmap: LinearMap) -> Structure
     """
     _require_comm_assoc(assoc)
     _require(check_derivation(assoc, dmap, 0), "derivation identity")
-    d = assoc.dimension
-
-    def value(key):
-        i, j = key
-        return assoc(basis_vector(d, i), dmap.cols[j])
-
-    t = StructureTensor.from_function(2, d, "none", value)
+    dc = _cols(dmap)
+    t = StructureTensor.from_function(
+        2, assoc.dimension, "none",
+        lambda key: assoc.contract((key[0], dc[key[1]])))
     rep = check_prelie(t)
     if not rep.passed:
         raise InternalConsistencyError(
@@ -250,10 +260,10 @@ def thm36_f_condition(prelie: StructureTensor, p: LinearMap,
     """Symmetry condition f(P(x)*y - y*P(x)) = f(P(y)*x - x*P(y))."""
     d = prelie.dimension
     count = d ** 2
+    pc, neg = _cols(p), _cols(p, -1)
 
     def side(i, j):
-        ej = basis_vector(d, j)
-        return f(vec_sub(prelie(p.cols[i], ej), prelie(ej, p.cols[i])))
+        return f(prelie.contract((pc[i], j), (j, neg[i])))
 
     for i in range(d):
         for j in range(i + 1, d):
@@ -274,22 +284,12 @@ def thm36_bracket(prelie: StructureTensor, p: LinearMap,
     """Ternary bracket built from a weight-0 Rota-Baxter pre-Lie algebra and
     a compatible form; cyclic sum of commutators with f(.)P(.) coefficients."""
     _thm36_preconditions(prelie, p, f)
-    d = prelie.dimension
-    fr = f.row
-
-    def value(key):
-        i, j, k = key
-        out = zero_vector(d)
-        # pairs (coefficient combination, partner): f(x)P(y)-f(y)P(x) vs z, etc.
-        for (a, b), c in (((i, j), k), ((k, i), j), ((j, k), i)):
-            u = vec_sub(vec_scale(fr[a], p.cols[b]), vec_scale(fr[b], p.cols[a]))
-            if vec_is_zero(u):
-                continue
-            ec = basis_vector(d, c)
-            out = vec_add(out, vec_sub(prelie(u, ec), prelie(ec, u)))
-        return out
-
-    t = StructureTensor.from_function(3, d, "skew", value)
+    # by bilinearity the cyclic sum of [f(x)P(y) - f(y)P(x), z], with [,]
+    # the commutator, is f(x) B(y, z) + cyclic, B(a, b) = [P e_a, e_b] -
+    # [P e_b, e_a]
+    t = StructureTensor.from_function(
+        3, prelie.dimension, "skew",
+        _cyclic(f, _twisted(commutator(prelie), p)))
     _assert_jacobi(t, "pre-Lie ternary bracket construction")
     return t
 
@@ -300,12 +300,9 @@ def thm36_rb_condition(prelie: StructureTensor, p: LinearMap,
     weight 0 on the constructed ternary bracket; cross-checked against the
     direct verdict."""
     _thm36_preconditions(prelie, p, f)
-    d = prelie.dimension
     p2 = p @ p
-    cond = _cyclic_condition(
-        "P2-commutator-vanishing", d, f,
-        lambda a, b: vec_sub(prelie(p2.cols[a], p2.cols[b]),
-                             prelie(p2.cols[b], p2.cols[a])))
+    cond = _cyclic_condition("P2-commutator-vanishing", prelie.dimension, f,
+                             _twisted(prelie, p2, p2))
     rb = check_rota_baxter(thm36_bracket(prelie, p, f), p, 0)
     if cond.passed != rb.passed:
         raise InternalConsistencyError(
@@ -314,17 +311,26 @@ def thm36_rb_condition(prelie: StructureTensor, p: LinearMap,
     return cond
 
 
+def _fd_rows(t: StructureTensor, dmap: LinearMap) -> list:
+    """``((i, j), D(e_i) e_j - e_i D(e_j))`` in lex order: the rows of the
+    condition f(D(x)y) = f(xD(y)) on a binary product.  If ``t`` is
+    commutative or skew, row (j, i) is -row (i, j) or row (i, j), so only
+    pairs i <= j are built; otherwise all d**2 are."""
+    half = check_commutative(t).passed or check_skew_symmetric(t).passed
+    dc, neg = _cols(dmap), _cols(dmap, -1)
+    d = t.dimension
+    return [((i, j), t.contract((dc[i], j), (i, neg[j])))
+            for i in range(d) for j in range(i if half else 0, d)]
+
+
 def _fd_preconditions(assoc, f, dmap):
     _require_comm_assoc(assoc)
     _require(check_derivation(assoc, dmap, 0), "derivation identity")
-    d = assoc.dimension
-    for i in range(d):
-        for j in range(d):
-            ej = basis_vector(d, j)
-            ei = basis_vector(d, i)
-            if f(assoc(dmap.cols[i], ej)) != f(assoc(ei, dmap.cols[j])):
-                raise PreconditionError(
-                    f"form condition f(D(x)y) = f(xD(y)) fails at basis pair ({i}, {j})")
+    # commutative, so the first failing pair of the full scan has i <= j
+    for (i, j), row in _fd_rows(assoc, dmap):
+        if f(row) != 0:
+            raise PreconditionError(
+                f"form condition f(D(x)y) = f(xD(y)) fails at basis pair ({i}, {j})")
 
 
 def fD_bracket(assoc: StructureTensor, f: LinearForm,
@@ -332,21 +338,8 @@ def fD_bracket(assoc: StructureTensor, f: LinearForm,
     """Determinant bracket with rows (f-values, D-images, elements) on a
     commutative associative algebra."""
     _fd_preconditions(assoc, f, dmap)
-    d = assoc.dimension
-    fr = f.row
-
-    def value(key):
-        i, j, k = key
-        out = zero_vector(d)
-        for c, (a, b) in ((fr[i], (j, k)), (fr[j], (k, i)), (fr[k], (i, j))):
-            if c:
-                term = vec_sub(
-                    assoc(dmap.cols[a], basis_vector(d, b)),
-                    assoc(dmap.cols[b], basis_vector(d, a)))
-                out = vec_add(out, vec_scale(c, term))
-        return out
-
-    t = StructureTensor.from_function(3, d, "skew", value)
+    t = StructureTensor.from_function(
+        3, assoc.dimension, "skew", _cyclic(f, _twisted(assoc, dmap)))
     _assert_jacobi(t, "f,D determinant bracket construction")
     return t
 
@@ -389,11 +382,8 @@ def thm42_condition(assoc: StructureTensor, p: LinearMap, lam, f: LinearForm,
              "Rota-Baxter identity on the commutative algebra")
     fb = fD_bracket(assoc, f, dmap)
     d = assoc.dimension
-    dp = dmap @ p
     cond = _cyclic_condition(
-        "fD-bracket-rb-kernel-condition", d, f,
-        lambda a, b: vec_sub(assoc(dp.cols[a], p.cols[b]),
-                             assoc(dp.cols[b], p.cols[a])),
+        "fD-bracket-rb-kernel-condition", d, f, _twisted(assoc, dmap @ p, p),
         p + LinearMap.scalar(d, lam))
     rb = check_rota_baxter(fb, p, lam)
     if cond.passed != rb.passed:
@@ -404,20 +394,17 @@ def thm42_condition(assoc: StructureTensor, p: LinearMap, lam, f: LinearForm,
 
 
 def _det3_elements(assoc, rows):
-    """3x3 determinant over a commutative algebra, rows given as vector
-    triples; expanded as the explicit signed sum over the six permutations."""
-    d = assoc.dimension
-    out = zero_vector(d)
+    """3x3 determinant over a commutative algebra whose rows are triples of
+    ``contract`` slots, as the signed sum over the six permutations: each
+    product r1[a] r2[b] in a first ``contract``, then all six times r3[c]
+    in one more."""
     r1, r2, r3 = rows
-    for perm, sign in _PERMS3:
-        prod = assoc(r1[perm[0]], r2[perm[1]])
-        if vec_is_zero(prod):
-            continue
-        prod = assoc(prod, r3[perm[2]])
-        if sign < 0:
-            prod = vec_scale(-1, prod)
-        out = vec_add(out, prod)
-    return out
+    terms = []
+    for (a, b, c), sign in _PERMS3:
+        ab = support(assoc.contract((r1[a], r2[b])))
+        if ab:
+            terms.append((tuple((k, sign * x) for k, x in ab), r3[c]))
+    return assoc.contract(*terms)
 
 
 def _det_preconditions(assoc, dmaps):
@@ -435,16 +422,10 @@ def det_bracket_2(assoc: StructureTensor, d1: LinearMap,
     """Ternary bracket det(rows: elements, D1-images, D2-images) from two
     commuting derivations of a commutative associative algebra."""
     _det_preconditions(assoc, (d1, d2))
-    d = assoc.dimension
-
-    def value(key):
-        elems = tuple(basis_vector(d, i) for i in key)
-        return _det3_elements(assoc, (
-            elems,
-            tuple(d1.cols[i] for i in key),
-            tuple(d2.cols[i] for i in key)))
-
-    t = StructureTensor.from_function(3, d, "skew", value)
+    c1, c2 = _cols(d1), _cols(d2)
+    t = StructureTensor.from_function(
+        3, assoc.dimension, "skew", lambda key: _det3_elements(
+            assoc, (key, [c1[i] for i in key], [c2[i] for i in key])))
     _assert_jacobi(t, "two-derivation determinant bracket")
     return t
 
@@ -454,15 +435,10 @@ def det_bracket_3(assoc: StructureTensor, d1: LinearMap, d2: LinearMap,
     """Ternary bracket det(D1-images, D2-images, D3-images) from three
     pairwise commuting derivations."""
     _det_preconditions(assoc, (d1, d2, d3))
-    d = assoc.dimension
-
-    def value(key):
-        return _det3_elements(assoc, (
-            tuple(d1.cols[i] for i in key),
-            tuple(d2.cols[i] for i in key),
-            tuple(d3.cols[i] for i in key)))
-
-    t = StructureTensor.from_function(3, d, "skew", value)
+    cols = [_cols(m) for m in (d1, d2, d3)]
+    t = StructureTensor.from_function(
+        3, assoc.dimension, "skew", lambda key: _det3_elements(
+            assoc, [[c[i] for i in key] for c in cols]))
     _assert_jacobi(t, "three-derivation determinant bracket")
     return t
 

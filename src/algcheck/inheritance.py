@@ -11,9 +11,11 @@ standard counterexample.
 
 from __future__ import annotations
 
+from operator import add
+
 from .axioms import check_lie, check_lts, check_n_jacobi, check_skew_symmetric
-from .constructions import (_cyclic_condition, _require, _verify_annihilating,
-                            f_bracket)
+from .constructions import (_cols, _cyclic, _cyclic_condition, _require,
+                            _verify_annihilating, f_bracket)
 from .linalg import (LinearForm, LinearMap, basis_vector, maps_commute,
                      vec_add, vec_scale, zero_vector)
 from .operators import (SubsetMode, check_derivation, check_rota_baxter,
@@ -115,8 +117,9 @@ def _cor54_preconditions(lie, p, lam, f):
     _require(check_rota_baxter(lie, p, lam), "binary Rota-Baxter identity")
     _verify_annihilating(lie, f)
     d = lie.dimension
+    pc = _cols(p)
     rep = _cyclic_condition(
-        "kernel-condition", d, f, lambda a, b: lie(p.cols[a], p.cols[b]),
+        "kernel-condition", d, f, lambda a, b: lie.contract((pc[a], pc[b])),
         p + LinearMap.scalar(d, lam))
     if not rep.passed:
         raise PreconditionError(
@@ -134,35 +137,21 @@ def cor54_bracket(lie: StructureTensor, p: LinearMap, lam,
     f(P(z))([P(x),y] + [x,P(y)] + lambda[x,y]), which is what is computed
     here (see :func:`cor54_bracket_literal` for the verbatim form).  The
     expansion is asserted to coincide with the generic derived bracket.
+    It is the sum of two cyclic sums, one weighted by f(P(.)), one by f.
     """
     _cor54_preconditions(lie, p, lam, f)
-    d = lie.dimension
     lam = norm(lam)
-    fp = tuple(f(col) for col in p.cols)  # f(P(e_i))
-    fr = f.row
-
-    def value(key):
-        out = zero_vector(d)
-        # cyclic triples (x, y, z) contributing via f(P(x)) and f(x)
-        for x, y, z in ((key[0], key[1], key[2]), (key[1], key[2], key[0]),
-                        (key[2], key[0], key[1])):
-            ey, ez = basis_vector(d, y), basis_vector(d, z)
-            if fp[x]:
-                term = vec_add(lie(p.cols[y], ez), lie(ey, p.cols[z]))
-                if lam:
-                    term = vec_add(term, vec_scale(lam, lie.basis_product((y, z))))
-                out = vec_add(out, vec_scale(fp[x], term))
-            if fr[x]:
-                term = lie(p.cols[y], p.cols[z])
-                if lam:
-                    term = vec_add(term, vec_scale(lam, vec_add(
-                        lie(p.cols[y], ez), lie(ey, p.cols[z]))))
-                    term = vec_add(term, vec_scale(
-                        norm(lam * lam), lie.basis_product((y, z))))
-                out = vec_add(out, vec_scale(fr[x], term))
-        return out
-
-    out = skew_from_values(d, 3, value, verify=True)
+    lam2 = norm(lam * lam)
+    pc = _cols(p)
+    # [P(y), z] + [y, P(z)] + lambda [y, z]
+    first = _cyclic(LinearForm(tuple(f(col) for col in p.cols)), lambda y, z:
+                    lie.contract((pc[y], z), (y, pc[z]), (((y, lam),), z)))
+    # [P(y), P(z)] + lambda ([P(y), z] + [y, P(z)]) + lambda^2 [y, z]
+    second = _cyclic(f, lambda y, z: lie.contract(
+        (pc[y], pc[z]), (((y, lam),), pc[z]), (pc[y], ((z, lam),)),
+        (((y, lam2),), z)))
+    out = skew_from_values(lie.dimension, 3, lambda key: tuple(
+        map(add, first(key), second(key))), verify=True)
     generic = derived_nbracket(f_bracket(lie, f), p, lam)
     if not tensors_equal(out, generic):
         raise InternalConsistencyError(

@@ -102,17 +102,16 @@ def single_replacement_sum(t: StructureTensor, m: LinearMap, args, mode):
     """Direct weight-0 form: the n single-replacement (or single-omission)
     terms, implemented independently of the subset kernel for cross-checks."""
     mode = _as_mode(mode)
-    out = [0] * t.dimension
-    imgs = [m(a) for a in args]
-    for i in range(t.arity):
-        if mode is SubsetMode.DIFF_CHECK:
-            term = t.evaluate(args[:i] + [imgs[i]] + args[i + 1:])
-        else:
-            term = t.evaluate(imgs[:i] + [args[i]] + imgs[i + 1:])
-        for k, a in enumerate(term):
-            if a:
-                out[k] += a
-    return tuple(out)
+    n = t.arity
+    if len(args) != n:
+        raise ArgumentError(f"expected {n} arguments, got {len(args)}")
+    if m.dimension != t.dimension or any(len(a) != t.dimension for a in args):
+        raise ArgumentError("dimension mismatch in single-replacement sum")
+    rest = [support(a) for a in args]
+    swap = [support(m(a)) for a in args]
+    if mode is SubsetMode.RB_HAT:
+        rest, swap = swap, rest
+    return t.contract(*[rest[:i] + [swap[i]] + rest[i + 1:] for i in range(n)])
 
 
 def check_rota_baxter(t: StructureTensor, p: LinearMap, lam) -> CheckReport:

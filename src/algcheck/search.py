@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .algebra import Algebra
-from .linalg import LinearForm, LinearMap, basis_vector, nullspace, vec_sub
+from .constructions import _fd_rows
+from .linalg import LinearForm, LinearMap, nullspace
 from .operators import check_rota_baxter
 from .reports import ArgumentError, CheckReport, InternalConsistencyError, passing
 from .scalars import norm
@@ -87,17 +88,6 @@ def _annihilating_rows(t: StructureTensor):
         t.arity, t.dimension, t.symmetry)]
 
 
-def _fd_rows(t: StructureTensor, dmap: LinearMap):
-    d = t.dimension
-    rows = []
-    for i in range(d):
-        for j in range(i, d):
-            lhs = t.evaluate([dmap.cols[i], basis_vector(d, j)])
-            rhs = t.evaluate([basis_vector(d, i), dmap.cols[j]])
-            rows.append(vec_sub(lhs, rhs))
-    return rows
-
-
 def search(alg: Algebra, spec: SearchSpec) -> list:
     """Run the search; returns :class:`SearchResult` objects.
 
@@ -116,7 +106,7 @@ def search(alg: Algebra, spec: SearchSpec) -> list:
     if spec.target == "fD_form":
         if spec.map not in alg.maps:
             raise ArgumentError(f"algebra has no map named {spec.map!r}")
-        rows = _fd_rows(t, alg.maps[spec.map])
+        rows = [row for _, row in _fd_rows(t, alg.maps[spec.map])]
         basis = nullspace(rows, t.dimension)
         return [SearchResult(LinearForm(v),
                              _verify_form_on_rows(rows, LinearForm(v),

@@ -117,10 +117,13 @@ class StructureTensor:
 
         Each term is a sequence of ``arity`` slots; a slot is a basis index
         or a sparse vector given as ``(index, coefficient)`` pairs.  Every
-        index tuple of the expansion is looked up in :attr:`table`.
+        index tuple of the expansion is looked up in :attr:`table`; an
+        empty table gives the zero vector without expanding any slot.
         """
         table = self.table
         out = [0] * self.dimension
+        if not table:
+            return tuple(out)
         for slots in terms:
             # a coefficient of None is an exact 1, never multiplied in
             keys = [((), None)]

@@ -325,3 +325,60 @@ def test_operator_checks_reject_a_map_of_another_dimension():
     for check in (check_rota_baxter, check_derivation):
         with pytest.raises(ArgumentError):
             check(t, running_sum_map(2), 1)
+
+
+# ------------------------------------------------- single-replacement sum
+
+
+def oracle_single_replacement_sum(t, m, args, mode):
+    """The earlier dense form: one ``evaluate`` per replaced position."""
+    out = [0] * t.dimension
+    imgs = [m(a) for a in args]
+    for i in range(t.arity):
+        if mode is SubsetMode.DIFF_CHECK:
+            term = t.evaluate(args[:i] + [imgs[i]] + args[i + 1:])
+        else:
+            term = t.evaluate(imgs[:i] + [args[i]] + imgs[i + 1:])
+        out = vec_add(out, term)
+    return tuple(out)
+
+
+_entries = st.sampled_from((0, 0, 0, 1, -1, 2, Fraction(1, 2)))
+
+
+@st.composite
+def tensor_map_args(draw):
+    arity = draw(st.integers(2, 3))
+    dim = draw(st.integers(1, 4))
+    symmetry = draw(st.sampled_from(("none", "skew", "symmetric")))
+    vec = st.lists(_entries, min_size=dim, max_size=dim).map(tuple)
+    keys = stored_keys(arity, dim, symmetry)
+    t = StructureTensor(arity, dim, symmetry, dict(zip(
+        keys, draw(st.lists(vec, min_size=len(keys), max_size=len(keys))))))
+    m = LinearMap.from_cols(draw(st.lists(vec, min_size=dim, max_size=dim)))
+    return t, m, draw(st.lists(vec, min_size=arity, max_size=arity))
+
+
+@settings(max_examples=80, deadline=None)
+@given(tensor_map_args())
+def test_single_replacement_sum_is_the_weight0_subset_expansion(instance):
+    t, m, args = instance
+    event(f"{t.symmetry}, arity {t.arity}")
+    for mode in SubsetMode:
+        got = single_replacement_sum(t, m, args, mode)
+        assert got == subset_expansion(t, m, 0, args, mode)
+        assert got == oracle_single_replacement_sum(t, m, args, mode)
+
+
+def test_single_replacement_sum_argument_errors():
+    t = get("a4").products["bracket"]
+    d = get("a4").maps["D"]
+    args = [basis_vector(4, i) for i in range(3)]
+    with pytest.raises(ArgumentError, match="expected 3 arguments"):
+        single_replacement_sum(t, d, args[:2], "diff_check")
+    with pytest.raises(ArgumentError, match="expected 3 arguments"):
+        single_replacement_sum(t, d, args + args[:1], "rb_hat")
+    with pytest.raises(ArgumentError, match="dimension"):
+        single_replacement_sum(t, d, args[:2] + [(1, 0, 0)], "rb_hat")
+    with pytest.raises(ArgumentError, match="dimension"):
+        single_replacement_sum(t, running_sum_map(3), args, "diff_check")

@@ -1,11 +1,17 @@
+from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from algcheck.algebra import Algebra
 from algcheck.catalog import get
-from algcheck.linalg import LinearMap, basis_vector, vec_add
+from algcheck.linalg import (LinearForm, LinearMap, basis_vector, nullspace,
+                             vec_add, vec_sub)
 from algcheck.reports import ArgumentError
 from algcheck.search import SearchSpec, search
+from algcheck.tensor import StructureTensor, stored_keys
 
 # ---------------------------------------------------------------- oracles
 
@@ -150,3 +156,70 @@ def test_spec_rejects_unknown_target_and_strategy():
         SearchSpec("magic", "bracket")
     with pytest.raises(ArgumentError, match="strategy"):
         SearchSpec("rb_operator", "bracket", strategy="annealing")
+
+
+# ------------------------------------------- fD_form on any binary product
+
+
+def _fd_pairs_hold(t, dmap, f):
+    d = t.dimension
+    return all(f(t.evaluate([dmap.cols[i], basis_vector(d, j)]))
+               == f(t.evaluate([basis_vector(d, i), dmap.cols[j]]))
+               for i, j in iproduct(range(d), repeat=2))
+
+
+def _one_product_algebra(t, dmap):
+    d = t.dimension
+    return Algebra("x", d, tuple(f"e{i}" for i in range(d)),
+                   products={"prod": t}, maps={"D": dmap})
+
+
+def test_fd_form_on_a_noncommutative_product_checks_every_pair():
+    t = StructureTensor(2, 2, "none", {(0, 0): (-1, -1), (0, 1): (0, -1),
+                                       (1, 0): (1, 0), (1, 1): (0, 1)})
+    dmap = LinearMap.from_cols([(0, 0), (0, -1)])
+    results = search(_one_product_algebra(t, dmap),
+                     SearchSpec("fD_form", "prod", map="D"))
+    # the pair (0, 1) forces f(e1) = 0; the pairs with i <= j alone admit
+    # f = (1, 0), yet f(D(e1) e0) = -1 while f(e1 D(e0)) = 0, so the pair
+    # (1, 0) forces f(e0) = 0 as well
+    assert results == []
+    assert not _fd_pairs_hold(t, dmap, LinearForm((1, 0)))
+
+
+_coeffs = st.sampled_from((0, 0, 1, -1, 2, Fraction(1, 2)))
+
+
+@st.composite
+def product_and_map(draw, symmetry):
+    d = draw(st.integers(1, 4))
+    vec = st.lists(_coeffs, min_size=d, max_size=d).map(tuple)
+    keys = stored_keys(2, d, symmetry)
+    t = StructureTensor(2, d, symmetry, dict(zip(
+        keys, draw(st.lists(vec, min_size=len(keys), max_size=len(keys))))))
+    return t, LinearMap.from_cols(draw(st.lists(vec, min_size=d, max_size=d)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_and_map("none"))
+def test_fd_forms_of_any_product_satisfy_every_pair(instance):
+    t, dmap = instance
+    for r in search(_one_product_algebra(t, dmap),
+                    SearchSpec("fD_form", "prod", map="D")):
+        assert r.certificate.passed
+        assert _fd_pairs_hold(t, dmap, r.found)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("skew", "symmetric")).flatmap(product_and_map))
+def test_fd_forms_of_a_commutative_or_skew_product_keep_half_the_rows(instance):
+    t, dmap = instance
+    d = t.dimension
+    rows = [vec_sub(t.evaluate([dmap.cols[i], basis_vector(d, j)]),
+                    t.evaluate([basis_vector(d, i), dmap.cols[j]]))
+            for i, j in iproduct(range(d), repeat=2)]
+    results = search(_one_product_algebra(t, dmap),
+                     SearchSpec("fD_form", "prod", map="D"))
+    assert [r.found.row for r in results] == nullspace(rows, d)
+    for r in results:
+        assert r.certificate.checked_count == d * (d + 1) // 2

@@ -222,3 +222,16 @@ def test_table_is_built_lazily():
     assert t.basis_product((2, 0, 1)) == (0, 0, 0, 1)
     assert len(t.table) == 6  # one key per ordering of the stored tuple
     assert t.table[(1, 0, 2)] == ((3, -1),)
+
+
+class _Unread:
+    """A slot that fails if anything expands it."""
+
+    def __iter__(self):
+        raise AssertionError("slot expanded")
+
+
+def test_contract_on_an_empty_table_expands_no_slot():
+    t = StructureTensor.zero(2, 3)
+    assert t.contract((_Unread(), _Unread()), (0, _Unread())) == (0, 0, 0)
+    assert t.evaluate([(1, 2, 3), (4, 5, 6)]) == (0, 0, 0)
