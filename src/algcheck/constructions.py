@@ -19,12 +19,13 @@ from .axioms import (check_associative, check_commutative, check_lie,
                      check_n_jacobi, check_prelie, check_skew_symmetric,
                      commutator)
 from .linalg import (LinearForm, LinearMap, basis_vector, maps_commute,
-                     vec_add, vec_is_zero, vec_scale, vec_sub, zero_vector)
+                     support, vec_add, vec_is_zero, vec_scale, vec_sub,
+                     zero_vector)
 from .operators import _subset_weights, check_derivation, check_rota_baxter
 from .reports import (CheckReport, InternalConsistencyError, PreconditionError,
                       failing, passing)
 from .scalars import norm
-from .tensor import StructureTensor, support
+from .tensor import StructureTensor
 
 logger = logging.getLogger("algcheck")
 
@@ -59,17 +60,12 @@ def _verify_annihilating(lie: StructureTensor, f: LinearForm):
                     f"form does not annihilate brackets: f([e{i}, e{j}]) != 0")
 
 
-def _cols(m: LinearMap, c=1) -> list:
-    """The columns of ``c * m`` as sparse ``contract`` slots."""
-    return [tuple((k, c * a) for k, a in support(col)) for col in m.cols]
-
-
 def _twisted(t: StructureTensor, left: LinearMap, right: LinearMap = None):
     """``pair(a, b)`` = t(L e_a, R e_b) - t(L e_b, R e_a) as one ``contract``
     over the sparse columns of L and R (the identity when None), set up
     once; B is skew by construction."""
-    lc, neg = _cols(left), _cols(left, -1)
-    rc = range(t.dimension) if right is None else _cols(right)
+    lc, neg = left.sparse_cols, left.scaled(-1).sparse_cols
+    rc = range(t.dimension) if right is None else right.sparse_cols
     return lambda a, b: t.contract((lc[a], rc[b]), (neg[b], rc[a]))
 
 
@@ -143,7 +139,7 @@ def thm32_condition(lie: StructureTensor, p: LinearMap, lam,
     fb = f_bracket(lie, f)
     _require(check_rota_baxter(lie, p, lam), "Rota-Baxter identity on the Lie bracket")
     d = lie.dimension
-    pc = _cols(p)
+    pc = p.sparse_cols
     cond = _cyclic_condition(
         "f-bracket-rb-kernel-condition", d, f,
         lambda a, b: lie.contract((pc[a], pc[b])), p + LinearMap.scalar(d, lam))
@@ -198,7 +194,7 @@ def derived_prelie(prelie: StructureTensor, p: LinearMap, lam) -> StructureTenso
     _require(check_prelie(prelie), "pre-Lie axiom")
     _require(check_rota_baxter(prelie, p, lam), "Rota-Baxter identity")
     lam = norm(lam)
-    pc, neg = _cols(p), _cols(p, -1)
+    pc, neg = p.sparse_cols, p.scaled(-1).sparse_cols
 
     def value(key):
         i, j = key
@@ -229,7 +225,7 @@ def prelie_from_comm_assoc(assoc: StructureTensor, dmap: LinearMap) -> Structure
     """
     _require_comm_assoc(assoc)
     _require(check_derivation(assoc, dmap, 0), "derivation identity")
-    dc = _cols(dmap)
+    dc = dmap.sparse_cols
     t = StructureTensor.from_function(
         2, assoc.dimension, "none",
         lambda key: assoc.contract((key[0], dc[key[1]])))
@@ -260,7 +256,7 @@ def thm36_f_condition(prelie: StructureTensor, p: LinearMap,
     """Symmetry condition f(P(x)*y - y*P(x)) = f(P(y)*x - x*P(y))."""
     d = prelie.dimension
     count = d ** 2
-    pc, neg = _cols(p), _cols(p, -1)
+    pc, neg = p.sparse_cols, p.scaled(-1).sparse_cols
 
     def side(i, j):
         return f(prelie.contract((pc[i], j), (j, neg[i])))
@@ -317,7 +313,7 @@ def _fd_rows(t: StructureTensor, dmap: LinearMap) -> list:
     commutative or skew, row (j, i) is -row (i, j) or row (i, j), so only
     pairs i <= j are built; otherwise all d**2 are."""
     half = check_commutative(t).passed or check_skew_symmetric(t).passed
-    dc, neg = _cols(dmap), _cols(dmap, -1)
+    dc, neg = dmap.sparse_cols, dmap.scaled(-1).sparse_cols
     d = t.dimension
     return [((i, j), t.contract((dc[i], j), (i, neg[j])))
             for i in range(d) for j in range(i if half else 0, d)]
@@ -422,7 +418,7 @@ def det_bracket_2(assoc: StructureTensor, d1: LinearMap,
     """Ternary bracket det(rows: elements, D1-images, D2-images) from two
     commuting derivations of a commutative associative algebra."""
     _det_preconditions(assoc, (d1, d2))
-    c1, c2 = _cols(d1), _cols(d2)
+    c1, c2 = d1.sparse_cols, d2.sparse_cols
     t = StructureTensor.from_function(
         3, assoc.dimension, "skew", lambda key: _det3_elements(
             assoc, (key, [c1[i] for i in key], [c2[i] for i in key])))
@@ -435,7 +431,7 @@ def det_bracket_3(assoc: StructureTensor, d1: LinearMap, d2: LinearMap,
     """Ternary bracket det(D1-images, D2-images, D3-images) from three
     pairwise commuting derivations."""
     _det_preconditions(assoc, (d1, d2, d3))
-    cols = [_cols(m) for m in (d1, d2, d3)]
+    cols = [m.sparse_cols for m in (d1, d2, d3)]
     t = StructureTensor.from_function(
         3, assoc.dimension, "skew", lambda key: _det3_elements(
             assoc, [[c[i] for i in key] for c in cols]))

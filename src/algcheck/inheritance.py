@@ -6,7 +6,9 @@ again one with the same operator and weight, and those conclusions are
 unconditional, so they are re-verified here and any failure raises
 :class:`InternalConsistencyError`.  The "naive" single-replacement sum is
 also provided: it carries no Jacobi guarantee and exists to exhibit the
-standard counterexample.
+standard counterexample.  Both brackets take each entry from the operator
+checkers' basis-tuple expansion (``operators._basis_expansion``), the naive
+one at weight 0, where only the one-element subsets carry weight.
 """
 
 from __future__ import annotations
@@ -14,20 +16,16 @@ from __future__ import annotations
 from operator import add
 
 from .axioms import check_lie, check_lts, check_n_jacobi, check_skew_symmetric
-from .constructions import (_cols, _cyclic, _cyclic_condition, _require,
+from .constructions import (_cyclic, _cyclic_condition, _require,
                             _verify_annihilating, f_bracket)
 from .linalg import (LinearForm, LinearMap, basis_vector, maps_commute,
                      vec_add, vec_scale, zero_vector)
-from .operators import (SubsetMode, check_derivation, check_rota_baxter,
-                        single_replacement_sum, subset_expansion)
+from .operators import (SubsetMode, _basis_expansion, check_derivation,
+                        check_rota_baxter)
 from .reports import (ArgumentError, CheckReport, InternalConsistencyError,
                       PreconditionError, passing)
 from .scalars import norm
 from .tensor import StructureTensor, skew_from_values, tensors_equal
-
-
-def _basis_args(d, key):
-    return [basis_vector(d, i) for i in key]
 
 
 def derived_nbracket(t: StructureTensor, p: LinearMap, lam) -> StructureTensor:
@@ -41,14 +39,9 @@ def derived_nbracket(t: StructureTensor, p: LinearMap, lam) -> StructureTensor:
         raise ArgumentError("operator dimension does not match the tensor")
     if t.symmetry != "skew" and not check_skew_symmetric(t).passed:
         raise ArgumentError("derived bracket needs a skew-symmetric input")
-    d = t.dimension
-    lam = norm(lam)
-
-    def value(key):
-        return subset_expansion(t, p, lam, _basis_args(d, key), SubsetMode.RB_HAT)
-
+    value = _basis_expansion(t, p, lam, SubsetMode.RB_HAT)
     try:
-        out = skew_from_values(d, t.arity, value, verify=True)
+        out = skew_from_values(t.dimension, t.arity, value, verify=True)
     except ArgumentError as exc:
         # the subset expansion of a skew bracket is skew unconditionally
         raise InternalConsistencyError(
@@ -93,12 +86,10 @@ def cor53_bracket(t: StructureTensor, dmap: LinearMap, lam) -> StructureTensor:
         raise PreconditionError("derivation must be invertible")
     _require(check_derivation(t, dmap, lam), "derivation identity")
     dinv = dmap.inverse()
-    d = t.dimension
-
-    def value(key):
-        return dmap(t.evaluate([dinv.cols[i] for i in key]))
-
-    out = StructureTensor.from_function(t.arity, d, "skew", value)
+    cols = dinv.sparse_cols
+    out = StructureTensor.from_function(
+        t.arity, t.dimension, "skew",
+        lambda key: dmap(t.contract([cols[i] for i in key])))
     generic = derived_nbracket(t, dinv, lam)
     if not tensors_equal(out, generic):
         raise InternalConsistencyError(
@@ -117,7 +108,7 @@ def _cor54_preconditions(lie, p, lam, f):
     _require(check_rota_baxter(lie, p, lam), "binary Rota-Baxter identity")
     _verify_annihilating(lie, f)
     d = lie.dimension
-    pc = _cols(p)
+    pc = p.sparse_cols
     rep = _cyclic_condition(
         "kernel-condition", d, f, lambda a, b: lie.contract((pc[a], pc[b])),
         p + LinearMap.scalar(d, lam))
@@ -142,7 +133,7 @@ def cor54_bracket(lie: StructureTensor, p: LinearMap, lam,
     _cor54_preconditions(lie, p, lam, f)
     lam = norm(lam)
     lam2 = norm(lam * lam)
-    pc = _cols(p)
+    pc = p.sparse_cols
     # [P(y), z] + [y, P(z)] + lambda [y, z]
     first = _cyclic(LinearForm(tuple(f(col) for col in p.cols)), lambda y, z:
                     lie.contract((pc[y], z), (y, pc[z]), (((y, lam),), z)))
@@ -218,17 +209,10 @@ def naive_bracket(t: StructureTensor, p: LinearMap) -> StructureTensor:
     Carries no Jacobi guarantee even when (t, P) is a weight-0 Rota-Baxter
     3-Lie algebra; it exists to reproduce the standard counterexample.
     """
-    if p.dimension != t.dimension:
-        raise ArgumentError("operator dimension does not match the tensor")
-    d = t.dimension
-
-    def value(key):
-        return single_replacement_sum(
-            t, p, _basis_args(d, key), SubsetMode.DIFF_CHECK)
-
+    value = _basis_expansion(t, p, 0, SubsetMode.DIFF_CHECK)
     if t.symmetry == "skew" or check_skew_symmetric(t).passed:
-        return skew_from_values(d, t.arity, value, verify=True)
-    return StructureTensor.from_function(t.arity, d, "none", value)
+        return skew_from_values(t.dimension, t.arity, value, verify=True)
+    return StructureTensor.from_function(t.arity, t.dimension, "none", value)
 
 
 def lts_from_lie(lie: StructureTensor) -> StructureTensor:
@@ -272,13 +256,8 @@ def derived_lts_bracket(lts: StructureTensor, p: LinearMap, lam) -> StructureTen
     result is again one with the same operator and weight (re-verified)."""
     _require(check_lts(lts), "Lie-triple-system axioms")
     _require(check_rota_baxter(lts, p, lam), "ternary Rota-Baxter identity")
-    d = lts.dimension
-    lam = norm(lam)
-
-    def value(key):
-        return subset_expansion(lts, p, lam, _basis_args(d, key), SubsetMode.RB_HAT)
-
-    out = StructureTensor.from_function(3, d, "none", value)
+    value = _basis_expansion(lts, p, lam, SubsetMode.RB_HAT)
+    out = StructureTensor.from_function(3, lts.dimension, "none", value)
     rep = check_lts(out)
     if not rep.passed:
         raise InternalConsistencyError(

@@ -3,8 +3,13 @@
 Conventions used throughout the package:
 
 * a vector is a tuple of scalars, length = ambient dimension;
+* a sparse vector (a ``contract`` slot) is the tuple of its nonzero
+  ``(index, coefficient)`` pairs, as :func:`support` gives it;
 * ``LinearMap`` stores its matrix by columns, column ``j`` being the image of
-  basis vector ``j``; composition ``A @ B`` is the matrix product ``A . B``;
+  basis vector ``j``; composition ``A @ B`` is the matrix product ``A . B``.
+  Its sparse columns are built on first use and kept on the frozen map, like
+  ``StructureTensor.table``, outside equality, hashing and ``repr``; a map
+  applies through them;
 * nullspaces are computed by exact Gaussian elimination over the rationals
   and returned in the canonical reduced-row-echelon parametrization, so the
   result is deterministic.
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .reports import ArgumentError
 from .scalars import Scalar, norm
@@ -50,6 +56,11 @@ def vec_scale(c: Scalar, v: Vector) -> Vector:
 
 def vec_is_zero(v: Vector) -> bool:
     return all(a == 0 for a in v)
+
+
+def support(v: Vector) -> tuple:
+    """The nonzero ``(index, coefficient)`` pairs of a dense vector."""
+    return tuple((i, c) for i, c in enumerate(v) if c)
 
 
 @dataclass(frozen=True)
@@ -118,22 +129,29 @@ class LinearMap:
     def rows(self) -> list:
         return [tuple(col[i] for col in self.cols) for i in range(self.dimension)]
 
+    @cached_property
+    def sparse_cols(self) -> list:
+        """The :func:`support` of each column, built on first use."""
+        return [support(col) for col in self.cols]
+
     def __call__(self, v: Vector) -> Vector:
         if len(v) != self.dimension:
             raise ArgumentError("dimension mismatch in map application")
         out = [0] * self.dimension
-        for c, col in zip(v, self.cols):
-            if c == 0:
-                continue
-            for i, a in enumerate(col):
-                if a:
+        for c, col in zip(v, self.sparse_cols):
+            if c:
+                for i, a in col:
                     out[i] += c * a
         return tuple(out)
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
+        if other.dimension != self.dimension:
+            raise ArgumentError("dimension mismatch in map sum")
         return LinearMap(tuple(vec_add(a, b) for a, b in zip(self.cols, other.cols)))
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
+        if other.dimension != self.dimension:
+            raise ArgumentError("dimension mismatch in map difference")
         return LinearMap(tuple(vec_sub(a, b) for a, b in zip(self.cols, other.cols)))
 
     def __matmul__(self, other: "LinearMap") -> "LinearMap":

@@ -5,21 +5,24 @@ the nonempty subsets I of the argument positions, weighted by
 ``lambda**(|I|-1)``; they differ only in whether the map is applied to the
 positions inside I (derivation convention) or outside I (Rota-Baxter
 convention).  One private term builder serves :func:`subset_expansion` and
-both checkers so they cannot drift apart; the checkers set up the map's
-sparse columns and the subset weights once per check, not once per tuple.
+``_basis_expansion``, which gives the expansion at each basis tuple from the
+map's sparse columns and the subset weights, set up once per map.  Both
+checkers and the derived and naive brackets (inheritance module) use it, so
+they cannot drift apart.
 """
 
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 from itertools import product as iproduct
 
 from .axioms import _strict_ascending, check_associative
-from .linalg import LinearMap, basis_vector, maps_commute, vec_is_zero, vector
+from .linalg import LinearMap, maps_commute, support, vector
 from .reports import (ArgumentError, CheckReport, InternalConsistencyError,
                       PreconditionError, failing, passing)
 from .scalars import Scalar, norm
-from .tensor import StructureTensor, support
+from .tensor import StructureTensor
 
 __all__ = [
     "SubsetMode", "subset_expansion", "check_rota_baxter", "check_derivation",
@@ -43,14 +46,16 @@ def _as_mode(mode) -> SubsetMode:
     return mode if isinstance(mode, SubsetMode) else SubsetMode(mode)
 
 
+@lru_cache(maxsize=64)
 def _subset_weights(lam: Scalar, n: int):
     """``(mask, lam**(|I|-1))`` for each nonempty subset I of n positions,
-    as a bitmask in increasing order, omitting zero weights (0**0 == 1)."""
+    as a bitmask in increasing order, omitting zero weights (0**0 == 1).
+    Kept per (lam, n): a grid search sets up one check per candidate."""
     powers = [None, 1]
     for _ in range(2, n + 1):
         powers.append(norm(powers[-1] * lam))
-    return [(mask, powers[mask.bit_count()]) for mask in range(1, 1 << n)
-            if powers[mask.bit_count()] != 0]
+    return tuple((mask, powers[mask.bit_count()]) for mask in range(1, 1 << n)
+                 if powers[mask.bit_count()] != 0)
 
 
 def _expansion_terms(inside, outside, weights):
@@ -82,36 +87,28 @@ def subset_expansion(t: StructureTensor, m: LinearMap, lam, args, mode):
     return t.contract(*_expansion_terms(inside, outside, _subset_weights(norm(lam), n)))
 
 
-def _basis_scan(t: StructureTensor, m: LinearMap, lam):
-    """``(idx, plain, imgs, weights)`` per scanned basis tuple: the sparse
-    slots of each ``e_i`` and of ``m(e_i)``, set up once per check.  The scan
-    is in lex order, ascending tuples only for skew ``t`` (axioms module)."""
+def _basis_expansion(t: StructureTensor, m: LinearMap, lam, mode):
+    """``value(idx)``: the subset expansion at the basis tuple ``idx``, from
+    unit slots and the map's sparse columns, with the weights set up once."""
     if m.dimension != t.dimension:
         raise ArgumentError("operator dimension does not match the tensor")
-    d = t.dimension
-    unit = [((i, 1),) for i in range(d)]
-    cols = [support(col) for col in m.cols]
+    unit = [((i, 1),) for i in range(t.dimension)]
+    cols = m.sparse_cols
     weights = _subset_weights(norm(lam), t.arity)
-    scan = (_strict_ascending(d, t.arity) if t.symmetry == "skew"
+    diff = mode is SubsetMode.DIFF_CHECK
+
+    def value(idx):
+        plain, imgs = [unit[i] for i in idx], [cols[i] for i in idx]
+        inside, outside = (imgs, plain) if diff else (plain, imgs)
+        return t.contract(*_expansion_terms(inside, outside, weights))
+    return value
+
+
+def _scan(t: StructureTensor):
+    """Basis tuples in lex order, ascending only for skew ``t`` (axioms)."""
+    d = t.dimension
+    return (_strict_ascending(d, t.arity) if t.symmetry == "skew"
             else iproduct(range(d), repeat=t.arity))
-    for idx in scan:
-        yield idx, [unit[i] for i in idx], [cols[i] for i in idx], weights
-
-
-def single_replacement_sum(t: StructureTensor, m: LinearMap, args, mode):
-    """Direct weight-0 form: the n single-replacement (or single-omission)
-    terms, implemented independently of the subset kernel for cross-checks."""
-    mode = _as_mode(mode)
-    n = t.arity
-    if len(args) != n:
-        raise ArgumentError(f"expected {n} arguments, got {len(args)}")
-    if m.dimension != t.dimension or any(len(a) != t.dimension for a in args):
-        raise ArgumentError("dimension mismatch in single-replacement sum")
-    rest = [support(a) for a in args]
-    swap = [support(m(a)) for a in args]
-    if mode is SubsetMode.RB_HAT:
-        rest, swap = swap, rest
-    return t.contract(*[rest[:i] + [swap[i]] + rest[i + 1:] for i in range(n)])
 
 
 def check_rota_baxter(t: StructureTensor, p: LinearMap, lam) -> CheckReport:
@@ -123,9 +120,11 @@ def check_rota_baxter(t: StructureTensor, p: LinearMap, lam) -> CheckReport:
     """
     name = "rota-baxter"
     count = t.dimension ** t.arity
-    for idx, plain, imgs, weights in _basis_scan(t, p, lam):
-        lhs = vector(t.contract(imgs))
-        rhs = p(t.contract(*_expansion_terms(plain, imgs, weights)))
+    value = _basis_expansion(t, p, lam, SubsetMode.RB_HAT)
+    cols = p.sparse_cols
+    for idx in _scan(t):
+        lhs = vector(t.contract([cols[i] for i in idx]))
+        rhs = p(value(idx))
         if lhs != rhs:
             return failing(name, count, idx, lhs, rhs)
     return passing(name, count)
@@ -139,9 +138,10 @@ def check_derivation(t: StructureTensor, dmap: LinearMap, lam) -> CheckReport:
     """
     name = "derivation"
     count = t.dimension ** t.arity
-    for idx, plain, imgs, weights in _basis_scan(t, dmap, lam):
+    value = _basis_expansion(t, dmap, lam, SubsetMode.DIFF_CHECK)
+    for idx in _scan(t):
         lhs = dmap(t.basis_product(idx))
-        rhs = t.contract(*_expansion_terms(imgs, plain, weights))
+        rhs = value(idx)
         if lhs != rhs:
             return failing(name, count, idx, lhs, rhs)
     return passing(name, count)
@@ -184,12 +184,11 @@ def _nary_power(t: StructureTensor, n: int) -> StructureTensor:
             "product is not associative "
             f"(violation at basis triple {rep.counterexample.indices})")
     d = t.dimension
-    level = {(i,): basis_vector(d, i) for i in range(d)}
-    for _ in range(n - 1):
-        nxt = {}
-        for key, vec in level.items():
-            for j in range(d):
-                nxt[key + (j,)] = t.contract((support(vec), j))
-        level = nxt
-    entries = {k: v for k, v in level.items() if not vec_is_zero(v)}
-    return StructureTensor(n, d, "none", entries)
+    # running products as sparse slots; a zero one has only zero extensions
+    level = {(i,): ((i, 1),) for i in range(d)}
+    for _ in range(n - 2):
+        level = {key + (j,): prod for key, slot in level.items()
+                 for j in range(d) if (prod := support(t.contract((slot, j))))}
+    return StructureTensor(n, d, "none", {
+        key + (j,): t.contract((slot, j))
+        for key, slot in level.items() for j in range(d)})

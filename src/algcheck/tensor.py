@@ -25,7 +25,8 @@ from functools import cached_property
 from itertools import combinations, combinations_with_replacement, permutations
 from itertools import product as iproduct
 
-from .linalg import Vector, basis_vector, vec_is_zero, vec_scale, vector
+from .linalg import (Vector, basis_vector, support, vec_is_zero, vec_scale,
+                     vector)
 from .reports import ArgumentError
 
 SYMMETRIES = ("none", "skew", "symmetric")
@@ -43,11 +44,6 @@ def sort_with_sign(indices) -> tuple[tuple, int]:
             sign = -sign
             j -= 1
     return tuple(idx), sign
-
-
-def support(v: Vector) -> tuple:
-    """The nonzero ``(index, coefficient)`` pairs of a dense vector."""
-    return tuple((i, c) for i, c in enumerate(v) if c)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algcheck import files
+from algcheck.catalog import catalog_names, get
 from algcheck.linalg import (LinearForm, LinearMap, basis_vector, kernel_basis,
                              kernel_membership, maps_commute, nullspace, rref,
                              vec_add, vec_is_zero, vec_scale, vec_sub, vector)
@@ -117,3 +120,73 @@ def test_maps_commute():
     c = LinearMap.from_cols([(0, 1), (0, 0)])
     assert maps_commute(a, b)
     assert not maps_commute(a, c)
+
+
+def test_linear_map_sum_and_difference_reject_other_dimensions():
+    a, b = LinearMap.identity(2), LinearMap.identity(3)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ArgumentError, match="dimension"):
+            x + y
+        with pytest.raises(ArgumentError, match="dimension"):
+            x - y
+    assert (a + a).cols == ((2, 0), (0, 2))
+    assert (a - a).cols == ((0, 0), (0, 0))
+
+
+# ------------------------------------------------ the map's kept columns
+
+
+def _snapshot(alg):
+    maps = alg.maps.values()
+    return (files.dumps(alg), [repr(m) for m in maps], [hash(m) for m in maps],
+            [pickle.loads(pickle.dumps(m)) for m in maps])
+
+
+def test_kept_columns_leave_equality_hash_repr_pickle_and_files_alone():
+    for name in catalog_names():
+        alg = files.loads(files.dumps(get(name)))  # columns not built yet
+        assert all("sparse_cols" not in vars(m) for m in alg.maps.values())
+        text, reprs, hashes, copies = _snapshot(alg)
+        for m in alg.maps.values():
+            assert m.sparse_cols is m.sparse_cols  # built once, then kept
+            m(tuple(range(m.dimension)))
+        assert _snapshot(alg) == (text, reprs, hashes, copies)
+        for m, copy in zip(alg.maps.values(), copies):
+            assert m == copy and hash(m) == hash(copy)
+            again = pickle.loads(pickle.dumps(m))
+            assert again == m and repr(again) == repr(m)
+            assert again.sparse_cols == m.sparse_cols
+
+
+def dense_apply(m, v):
+    """The earlier dense matrix-vector loop of ``LinearMap.__call__``."""
+    out = [0] * m.dimension
+    for c, col in zip(v, m.cols):
+        if c == 0:
+            continue
+        for i, a in enumerate(col):
+            if a:
+                out[i] += c * a
+    return tuple(out)
+
+
+# Fraction(2) and Fraction(0) are kept unnormalized in the raw constructor,
+# so a drift between int and Fraction results shows in ``repr``
+_raw = st.one_of(st.integers(-3, 3), st.sampled_from((Fraction(2), Fraction(0))),
+                 st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def map_and_vector(draw):
+    d = draw(st.integers(1, 5))
+    vec = st.lists(_raw, min_size=d, max_size=d).map(tuple)
+    col = st.one_of(vec, st.just((0,) * d))
+    m = LinearMap(tuple(draw(st.lists(col, min_size=d, max_size=d))))
+    return m, draw(st.one_of(vec, st.just((0,) * d)))
+
+
+@settings(max_examples=200)
+@given(map_and_vector())
+def test_map_application_matches_the_dense_loop(instance):
+    m, v = instance
+    assert repr(m(v)) == repr(dense_apply(m, v))

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from algcheck.catalog import get, running_sum_map
-from algcheck.linalg import LinearMap, basis_vector, vec_add, vec_scale
+from algcheck.axioms import check_associative
+from algcheck.catalog import catalog_names, get, running_sum_map
+from algcheck.inheritance import naive_bracket
+from algcheck.linalg import (LinearMap, basis_vector, support, vec_add,
+                             vec_is_zero, vec_scale)
 from algcheck.operators import (SubsetMode, check_derivation, check_duality,
                                 check_rota_baxter, nary_from_associative,
-                                single_replacement_sum, subset_expansion)
+                                subset_expansion)
 from algcheck.reports import ArgumentError, PreconditionError, failing, passing
 from algcheck.tensor import SYMMETRIES, StructureTensor, stored_keys
 
@@ -70,7 +73,7 @@ def test_subset_expansion_weight0_equals_single_replacement():
     args = [(1, 2, 0, 0), (0, 1, 1, 0), (0, 0, 1, 3)]
     for mode in SubsetMode:
         assert subset_expansion(t, d, 0, args, mode) == \
-            single_replacement_sum(t, d, args, mode)
+            oracle_single_replacement_sum(t, d, args, mode)
 
 
 def test_subset_expansion_conventions_differ():
@@ -91,6 +94,8 @@ def test_subset_expansion_argument_errors():
     with pytest.raises(ArgumentError):
         subset_expansion(t, running_sum_map(2), 0,
                          [basis_vector(3, 0)] * 2, "rb_hat")
+    with pytest.raises(ArgumentError, match="dimension"):
+        subset_expansion(t, p, 0, [basis_vector(3, 0), (1, 0)], "rb_hat")
 
 
 # --------------------------------------------------------------- checks
@@ -239,6 +244,33 @@ def test_nary_power_truncated_poly():
     assert nary.basis_product((1, 2, 2)) == (0, 0, 0, 0)
 
 
+def parent_nary_power(t, n):
+    """The earlier power loop: dense running products from basis vectors."""
+    d = t.dimension
+    level = {(i,): basis_vector(d, i) for i in range(d)}
+    for _ in range(n - 1):
+        nxt = {}
+        for key, vec in level.items():
+            for j in range(d):
+                nxt[key + (j,)] = t.contract((support(vec), j))
+        level = nxt
+    entries = {k: v for k, v in level.items() if not vec_is_zero(v)}
+    return StructureTensor(n, d, "none", entries)
+
+
+def test_nary_power_matches_the_dense_loop_on_the_catalog():
+    seen = 0
+    for name in catalog_names():
+        for t in get(name).products.values():
+            if t.arity != 2 or not check_associative(t).passed:
+                continue
+            seen += 1
+            for n in (2, 3, 4) if t.dimension <= 10 else (2, 3):
+                got, want = nary_from_associative(t, n), parent_nary_power(t, n)
+                assert got == want and repr(got) == repr(want)
+    assert seen >= 5
+
+
 # ------------------------------- per-check set-up against per-tuple forms
 # The checkers build the map's sparse columns and the subset weights once
 # per check.  These are the per-tuple forms they replaced, one public
@@ -365,20 +397,9 @@ def test_single_replacement_sum_is_the_weight0_subset_expansion(instance):
     t, m, args = instance
     event(f"{t.symmetry}, arity {t.arity}")
     for mode in SubsetMode:
-        got = single_replacement_sum(t, m, args, mode)
-        assert got == subset_expansion(t, m, 0, args, mode)
-        assert got == oracle_single_replacement_sum(t, m, args, mode)
-
-
-def test_single_replacement_sum_argument_errors():
-    t = get("a4").products["bracket"]
-    d = get("a4").maps["D"]
-    args = [basis_vector(4, i) for i in range(3)]
-    with pytest.raises(ArgumentError, match="expected 3 arguments"):
-        single_replacement_sum(t, d, args[:2], "diff_check")
-    with pytest.raises(ArgumentError, match="expected 3 arguments"):
-        single_replacement_sum(t, d, args + args[:1], "rb_hat")
-    with pytest.raises(ArgumentError, match="dimension"):
-        single_replacement_sum(t, d, args[:2] + [(1, 0, 0)], "rb_hat")
-    with pytest.raises(ArgumentError, match="dimension"):
-        single_replacement_sum(t, running_sum_map(3), args, "diff_check")
+        assert subset_expansion(t, m, 0, args, mode) == \
+            oracle_single_replacement_sum(t, m, args, mode)
+    naive, d = naive_bracket(t, m), t.dimension
+    for key in product(range(d), repeat=t.arity):
+        assert naive.basis_product(key) == oracle_single_replacement_sum(
+            t, m, [basis_vector(d, i) for i in key], SubsetMode.DIFF_CHECK)
