@@ -2,15 +2,21 @@
 
 Every universally quantified identity here is multilinear in each argument,
 so it holds for all vectors iff it holds on basis tuples; the checkers only
-iterate basis tuples and this reduction is relied on throughout.  Checkers
-scan tuples in lexicographic order and report the first failure, which makes
-counterexamples deterministic.  For skew tensors the scan is additionally
-restricted to blockwise strictly ascending tuples: tuples with a repeated
-index inside a skew block satisfy the identities trivially (both sides
-cancel pairwise), and a non-ascending tuple fails iff its blockwise-sorted,
-lexicographically smaller companion fails, so the first reduced failure is
-still the lexicographically least failing basis tuple.  ``checked_count``
-always reports the full logical tuple count.
+iterate basis tuples and this reduction is relied on throughout.  Every
+check but :func:`check_n_jacobi` hands its tuples, in lexicographic order,
+to :func:`reports.first_failure`, which reports the first failure; that
+makes counterexamples deterministic.  The tuples come from
+:func:`tensor.basis_tuples`, keyed by the symmetry of the identity in a
+block of its arguments.  Where it is alternating in a block (the n-Jacobi
+identity on a skew tensor, the binary Jacobi identity, the commutator
+conditions) only strictly ascending blocks are scanned: a repeated index
+inside the block satisfies the identity trivially (both sides cancel
+pairwise), and a non-ascending tuple fails iff its blockwise-sorted,
+lexicographically smaller companion fails.  Where it is symmetric in a
+block (the polarized first Lie-triple-system axiom) only sorted blocks are
+scanned, by the same argument without the repeated-index case.  Either
+way the first reduced failure is still the lexicographically least failing
+basis tuple.  ``checked_count`` always reports the full logical tuple count.
 
 Degenerate dimensions 0 and 1 are legal; checks pass vacuously.
 """
@@ -18,15 +24,11 @@ Degenerate dimensions 0 and 1 are legal; checks pass vacuously.
 from __future__ import annotations
 
 from functools import wraps
-from itertools import combinations, product as iproduct
 
-from .linalg import LinearForm, LinearMap, basis_vector, nullspace, vec_is_zero, vec_sub
-from .reports import ArgumentError, CheckReport, InternalConsistencyError, failing, passing
-from .tensor import StructureTensor
-
-
-def _strict_ascending(dimension, length):
-    return combinations(range(dimension), length)
+from .linalg import LinearForm, LinearMap, basis_vector, nullspace, vec_sub
+from .reports import (ArgumentError, CheckReport, InternalConsistencyError,
+                      failing, first_failure, passing)
+from .tensor import StructureTensor, basis_tuples
 
 
 def _kept(check):
@@ -50,24 +52,22 @@ def check_skew_symmetric(t: StructureTensor) -> CheckReport:
     count = t.dimension ** t.arity * max(t.arity - 1, 1)
     if t.symmetry == "skew":
         return passing(name, count)  # holds by construction of the storage
-    for idx in iproduct(range(t.dimension), repeat=t.arity):
-        base = t.basis_product(idx)
-        neg = tuple(-a for a in base)
-        for p in range(t.arity - 1):
-            swapped = idx[:p] + (idx[p + 1], idx[p]) + idx[p + 2:]
-            got = t.basis_product(swapped)
-            if got != neg:
-                return failing(name, count, idx, got, neg)
-    return passing(name, count)
+
+    def sides(idx):  # the first swapped product that is not -t(idx)
+        neg = tuple(-a for a in t.basis_product(idx))
+        swaps = (t.basis_product(idx[:p] + (idx[p + 1], idx[p]) + idx[p + 2:])
+                 for p in range(t.arity - 1))
+        return next((got for got in swaps if got != neg), neg), neg
+    return first_failure(name, count, basis_tuples(t.arity, t.dimension, "none"),
+                         sides)
 
 
 def _require_skew(t):
-    if t.symmetry != "skew":
-        rep = check_skew_symmetric(t)
-        if not rep.passed:
-            raise ArgumentError(
-                "tensor is not skew-symmetric "
-                f"(violation at basis tuple {rep.counterexample.indices})")
+    rep = check_skew_symmetric(t)
+    if not rep.passed:
+        raise ArgumentError(
+            "tensor is not skew-symmetric "
+            f"(violation at basis tuple {rep.counterexample.indices})")
 
 
 @_kept
@@ -86,10 +86,10 @@ def check_n_jacobi(t: StructureTensor) -> CheckReport:
     count = d ** (2 * n - 1)
     _require_skew(t)
     pairs = t.table.get
-    yss = list(_strict_ascending(d, n - 1))
+    yss = list(basis_tuples(n - 1, d, "skew"))
     bad = None
     bad_alt = None
-    for xs in _strict_ascending(d, n):
+    for xs in basis_tuples(n, d, "skew"):
         bx = pairs(xs)
         # equivalent ternary form: every x_i moved into the outer bracket's
         # first slot, the other two x's kept in cyclic order
@@ -133,28 +133,18 @@ def _associator(t, i, j, k):
 def check_associative(t: StructureTensor) -> CheckReport:
     if t.arity != 2:
         raise ArgumentError("associativity is a binary axiom")
-    d = t.dimension
-    count = d ** 3
-    for i, j, k in iproduct(range(d), repeat=3):
-        lhs, rhs = _associator(t, i, j, k)
-        if lhs != rhs:
-            return failing("associative", count, (i, j, k), lhs, rhs)
-    return passing("associative", count)
+    return first_failure("associative", t.dimension ** 3,
+                         basis_tuples(3, t.dimension, "none"),
+                         lambda idx: _associator(t, *idx))
 
 
 @_kept
 def check_commutative(t: StructureTensor) -> CheckReport:
     if t.arity != 2:
         raise ArgumentError("commutativity is a binary axiom")
-    d = t.dimension
-    count = d ** 2
-    for i in range(d):
-        for j in range(i + 1, d):
-            lhs = t.basis_product((i, j))
-            rhs = t.basis_product((j, i))
-            if lhs != rhs:
-                return failing("commutative", count, (i, j), lhs, rhs)
-    return passing("commutative", count)
+    return first_failure("commutative", t.dimension ** 2,
+                         basis_tuples(2, t.dimension, "skew"),
+                         lambda ij: (t.contract(ij), t.contract(ij[::-1])))
 
 
 @_kept
@@ -169,12 +159,13 @@ def check_lie(t: StructureTensor) -> CheckReport:
         c = skew.counterexample
         return failing("lie", count, c.indices, c.lhs, c.rhs)
     pairs = t.table.get
-    for i, j, k in combinations(range(d), 3):
-        acc = t.contract(*[(pairs((a, b), ()), c)
-                           for a, b, c in ((i, j, k), (j, k, i), (k, i, j))])
-        if not vec_is_zero(acc):
-            return failing("lie", count, (i, j, k), acc, (0,) * d)
-    return passing("lie", count)
+    zero = (0,) * d
+
+    def sides(idx):
+        i, j, k = idx
+        return t.contract(*[(pairs((a, b), ()), c)
+                            for a, b, c in ((i, j, k), (j, k, i), (k, i, j))]), zero
+    return first_failure("lie", count, basis_tuples(3, d, "skew"), sides)
 
 
 @_kept
@@ -183,15 +174,11 @@ def check_prelie(t: StructureTensor) -> CheckReport:
     if t.arity != 2:
         raise ArgumentError("the pre-Lie axiom is binary")
     d = t.dimension
-    count = d ** 3
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(d):
-                lhs = vec_sub(*_associator(t, i, j, k))
-                rhs = vec_sub(*_associator(t, j, i, k))
-                if lhs != rhs:
-                    return failing("prelie", count, (i, j, k), lhs, rhs)
-    return passing("prelie", count)
+    return first_failure(
+        "prelie", d ** 3,
+        ((i, j, k) for i, j in basis_tuples(2, d, "skew") for k in range(d)),
+        lambda idx: (vec_sub(*_associator(t, *idx)),
+                     vec_sub(*_associator(t, idx[1], idx[0], idx[2]))))
 
 
 @_kept
@@ -208,26 +195,21 @@ def check_lts(t: StructureTensor) -> CheckReport:
     zero = (0,) * d
     count = d ** 3 + d ** 3 + d ** 5
     pairs = t.table.get
-    for i in range(d):
-        for j in range(d):
-            for k in range(j, d):
-                s = t.contract((i, j, k), (i, k, j))
-                if not vec_is_zero(s):
-                    return failing("lts", count, (i, j, k), s, zero)
-    for idx in iproduct(range(d), repeat=3):
-        i, j, k = idx
-        acc = t.contract((i, j, k), (j, k, i), (k, i, j))
-        if not vec_is_zero(acc):
-            return failing("lts", count, idx, acc, zero)
-    for idx in iproduct(range(d), repeat=5):
+
+    def derivation(idx):
         i, j, k, a, b = idx
-        lhs = t.contract((pairs((i, j, k), ()), a, b))
-        rhs = t.contract((pairs((i, a, b), ()), j, k),
-                         (i, pairs((j, a, b), ()), k),
-                         (i, j, pairs((k, a, b), ())))
-        if lhs != rhs:
-            return failing("lts", count, idx, lhs, rhs)
-    return passing("lts", count)
+        return (t.contract((pairs((i, j, k), ()), a, b)),
+                t.contract((pairs((i, a, b), ()), j, k),
+                           (i, pairs((j, a, b), ()), k),
+                           (i, j, pairs((k, a, b), ()))))
+    scans = (
+        (((i, j, k) for i in range(d) for j, k in basis_tuples(2, d, "symmetric")),
+         lambda idx: (t.contract(idx, (idx[0], idx[2], idx[1])), zero)),
+        (basis_tuples(3, d, "none"),
+         lambda idx: (t.contract(idx, idx[1:] + idx[:1], idx[2:] + idx[:2]), zero)),
+        (basis_tuples(5, d, "none"), derivation))
+    reports = (first_failure("lts", count, *scan) for scan in scans)
+    return next((rep for rep in reports if not rep.passed), passing("lts", count))
 
 
 def commutator(t: StructureTensor) -> StructureTensor:

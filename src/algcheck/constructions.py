@@ -12,8 +12,6 @@ here, not bad input).
 from __future__ import annotations
 
 import logging
-from itertools import combinations
-from itertools import product as iproduct
 
 from .axioms import (check_associative, check_commutative, check_lie,
                      check_n_jacobi, check_prelie, check_skew_symmetric,
@@ -23,9 +21,9 @@ from .linalg import (LinearForm, LinearMap, basis_vector, maps_commute,
                      zero_vector)
 from .operators import _subset_weights, check_derivation, check_rota_baxter
 from .reports import (CheckReport, InternalConsistencyError, PreconditionError,
-                      failing, passing)
+                      first_failure)
 from .scalars import norm
-from .tensor import StructureTensor
+from .tensor import StructureTensor, basis_tuples
 
 logger = logging.getLogger("algcheck")
 
@@ -109,11 +107,10 @@ def _cyclic_condition(name, d, f: LinearForm, pair, kmap=None) -> CheckReport:
     image.  ``checked_count`` is the full d**3.
     """
     expr = _cyclic(f, pair)
-    for idx in combinations(range(d), 3):
-        img = expr(idx) if kmap is None else kmap(expr(idx))
-        if any(img):
-            return failing(name, d ** 3, idx, img, zero_vector(d))
-    return passing(name, d ** 3)
+    zero = zero_vector(d)
+    return first_failure(
+        name, d ** 3, basis_tuples(3, d, "skew"),
+        lambda idx: (expr(idx) if kmap is None else kmap(expr(idx)), zero))
 
 
 def f_bracket(lie: StructureTensor, f: LinearForm) -> StructureTensor:
@@ -240,33 +237,22 @@ def prelie_from_comm_assoc(assoc: StructureTensor, dmap: LinearMap) -> Structure
 def thm35_f_condition(prelie: StructureTensor, f: LinearForm) -> CheckReport:
     """f vanishes on all commutators x*y - y*x."""
     d = prelie.dimension
-    count = d ** 2
-    for i in range(d):
-        for j in range(i + 1, d):
-            val = f(vec_sub(prelie.basis_product((i, j)),
-                            prelie.basis_product((j, i))))
-            if val != 0:
-                return failing("form-kills-commutators", count, (i, j),
-                               (val,), (0,))
-    return passing("form-kills-commutators", count)
+    return first_failure(
+        "form-kills-commutators", d ** 2, basis_tuples(2, d, "skew"),
+        lambda ij: ((f(vec_sub(prelie.contract(ij), prelie.contract(ij[::-1]))),),
+                    (0,)))
 
 
 def thm36_f_condition(prelie: StructureTensor, p: LinearMap,
                       f: LinearForm) -> CheckReport:
     """Symmetry condition f(P(x)*y - y*P(x)) = f(P(y)*x - x*P(y))."""
     d = prelie.dimension
-    count = d ** 2
     pc, neg = p.sparse_cols, p.scaled(-1).sparse_cols
 
     def side(i, j):
-        return f(prelie.contract((pc[i], j), (j, neg[i])))
-
-    for i in range(d):
-        for j in range(i + 1, d):
-            lhs, rhs = side(i, j), side(j, i)
-            if lhs != rhs:
-                return failing("form-P-symmetry", count, (i, j), (lhs,), (rhs,))
-    return passing("form-P-symmetry", count)
+        return (f(prelie.contract((pc[i], j), (j, neg[i]))),)
+    return first_failure("form-P-symmetry", d ** 2, basis_tuples(2, d, "skew"),
+                         lambda ij: (side(*ij), side(*ij[::-1])))
 
 
 def _thm36_preconditions(prelie, p, f):
@@ -473,7 +459,7 @@ def _det_rb_scan(assoc: StructureTensor, p: LinearMap, lam) -> CheckReport:
     d = assoc.dimension
     gens = [basis_vector(d, i) for i in range(d)] + list(p.cols)
     triple = {}
-    for a, b in iproduct(range(2 * d), repeat=2):
+    for a, b in basis_tuples(2, 2 * d, "none"):
         ab = assoc(gens[a], gens[b])
         if not vec_is_zero(ab):
             for c in range(2 * d):
@@ -496,12 +482,12 @@ def _det_rb_scan(assoc: StructureTensor, p: LinearMap, lam) -> CheckReport:
         return zero if out is None else tuple(out)
 
     weights = _subset_weights(norm(lam), 3)
-    count = d ** 9
-    name = "determinant-rb-expansion"
-    shifted = {c: tuple(i + d for i in c) for c in iproduct(range(d), repeat=3)}
-    for cx, cy, cz in combinations(shifted, 3):  # keys are in lex order
+    cols = list(basis_tuples(3, d, "none"))
+    shifted = {c: tuple(i + d for i in c) for c in cols}
+
+    def sides(idx):
+        cx, cy, cz = idx[:3], idx[3:6], idx[6:]
         px, py, pz = shifted[cx], shifted[cy], shifted[cz]
-        lhs = det(px, py, pz)
         acc = [0] * d
         for mask, coeff in weights:
             v = det(cx if mask & 1 else px,
@@ -510,7 +496,9 @@ def _det_rb_scan(assoc: StructureTensor, p: LinearMap, lam) -> CheckReport:
             for m, x in enumerate(v):
                 if x:
                     acc[m] += coeff * x
-        rhs = p(tuple(acc))
-        if lhs != rhs:
-            return failing(name, count, cx + cy + cz, lhs, rhs)
-    return passing(name, count)
+        return det(px, py, pz), p(tuple(acc))
+    # ascending column triples, as 9-tuples in lex order
+    return first_failure(
+        "determinant-rb-expansion", d ** 9,
+        (cols[x] + cols[y] + cols[z] for x, y, z in basis_tuples(3, len(cols), "skew")),
+        sides)

@@ -37,7 +37,7 @@ def derived_nbracket(t: StructureTensor, p: LinearMap, lam) -> StructureTensor:
     """
     if p.dimension != t.dimension:
         raise ArgumentError("operator dimension does not match the tensor")
-    if t.symmetry != "skew" and not check_skew_symmetric(t).passed:
+    if not check_skew_symmetric(t).passed:
         raise ArgumentError("derived bracket needs a skew-symmetric input")
     value = _basis_expansion(t, p, lam, SubsetMode.RB_HAT)
     try:
@@ -210,7 +210,7 @@ def naive_bracket(t: StructureTensor, p: LinearMap) -> StructureTensor:
     3-Lie algebra; it exists to reproduce the standard counterexample.
     """
     value = _basis_expansion(t, p, 0, SubsetMode.DIFF_CHECK)
-    if t.symmetry == "skew" or check_skew_symmetric(t).passed:
+    if check_skew_symmetric(t).passed:
         return skew_from_values(t.dimension, t.arity, value, verify=True)
     return StructureTensor.from_function(t.arity, t.dimension, "none", value)
 

@@ -71,3 +71,17 @@ def passing(name: str, checked: int) -> CheckReport:
 
 def failing(name: str, checked: int, indices, lhs, rhs) -> CheckReport:
     return CheckReport(name, False, checked, Counterexample(tuple(indices), lhs, rhs))
+
+
+def first_failure(name: str, checked: int, tuples, sides) -> CheckReport:
+    """Scan ``tuples`` in the order given and fail at the first ``idx``
+    whose two sides ``lhs, rhs = sides(idx)`` differ; pass if none do.
+
+    Every exhaustive check reports through this scan, so its counterexample
+    is the first failure of its tuple order (lex order in every caller).
+    """
+    for idx in tuples:
+        lhs, rhs = sides(idx)
+        if lhs != rhs:
+            return failing(name, checked, idx, lhs, rhs)
+    return passing(name, checked)

@@ -51,6 +51,9 @@ class SearchSpec:
             raise ArgumentError(f"unknown search target {self.target!r}")
         if self.strategy not in STRATEGIES:
             raise ArgumentError(f"unknown strategy {self.strategy!r}")
+        if self.max_candidates < 0:
+            raise ArgumentError(
+                f"max_candidates must be non-negative, got {self.max_candidates}")
         if self.target == "rb_operator" and self.strategy == "solve":
             raise ArgumentError(
                 "the Rota-Baxter condition is quadratic in the operator; "

@@ -170,7 +170,7 @@ class StructureTensor:
         symmetric, arbitrary for none) and returns the product vector.
         """
         entries = {}
-        for key in stored_keys(arity, dimension, symmetry):
+        for key in basis_tuples(arity, dimension, symmetry):
             value = fn(key)
             if not vec_is_zero(value):
                 entries[key] = vector(value)
@@ -189,13 +189,23 @@ class StructureTensor:
         return not self.entries
 
 
+_TUPLES = {"skew": combinations, "symmetric": combinations_with_replacement,
+           "none": lambda r, n: iproduct(r, repeat=n)}
+
+
+def basis_tuples(arity, dimension, symmetry):
+    """Lazy lex-order iterator over the index tuples keyed by ``symmetry``:
+    strictly ascending for skew, sorted for symmetric, all for none.
+
+    These are the tuples a tensor of that shape stores, and the tuples an
+    exhaustive check scans when its identity has that symmetry.
+    """
+    return _TUPLES[symmetry](range(dimension), arity)
+
+
 def stored_keys(arity, dimension, symmetry):
     """Index tuples a tensor of the given shape actually stores, in lex order."""
-    if symmetry == "skew":
-        return list(combinations(range(dimension), arity))
-    if symmetry == "symmetric":
-        return list(combinations_with_replacement(range(dimension), arity))
-    return list(iproduct(range(dimension), repeat=arity))
+    return list(basis_tuples(arity, dimension, symmetry))
 
 
 def skew_from_values(dimension, arity, value_fn, verify=True) -> StructureTensor:
@@ -208,7 +218,7 @@ def skew_from_values(dimension, arity, value_fn, verify=True) -> StructureTensor
     """
     t = StructureTensor.from_function(arity, dimension, "skew", value_fn)
     if verify:
-        for key in iproduct(range(dimension), repeat=arity):
+        for key in basis_tuples(arity, dimension, "none"):
             if vector(value_fn(key)) != t.contract(key):
                 raise ArgumentError(
                     f"values are not skew-symmetric at index tuple {key}")

@@ -255,6 +255,15 @@ def test_search_covering_the_grid_prints_no_note(capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_search_negative_max_candidates_exits_2(capsys):
+    code, text = run("search", "q3", "--target", "rb_operator",
+                     "--max-candidates", "-3")
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == (
+        "error: max_candidates must be non-negative, got -3\n")
+
+
 def test_search_note_on_a_grid_too_large_to_print(tmp_path, capsys):
     # 3**9025 has more digits than str() converts, so the note keeps the power
     d = 95

@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import Phase, event, find, given, settings
 from hypothesis import strategies as st
 
 from algcheck.axioms import check_associative
@@ -273,9 +273,11 @@ def test_nary_power_matches_the_dense_loop_on_the_catalog():
 
 # ------------------------------- per-check set-up against per-tuple forms
 # The checkers build the map's sparse columns and the subset weights once
-# per check.  These are the per-tuple forms they replaced, one public
-# subset_expansion call per basis tuple; every report must be identical,
-# down to the int or Fraction type of each counterexample coordinate.
+# per check, and scan only the sorted tuples of a symmetric product.  These
+# are the per-tuple forms they replaced, one public subset_expansion call
+# per basis tuple of the full scan (all d**n tuples unless the product is
+# skew); every report must be identical, down to the int or Fraction type
+# of each counterexample coordinate.
 
 
 def _seed_scan(t):
@@ -350,6 +352,76 @@ def test_check_derivation_matches_the_per_tuple_form(t, dmap, lam):
     got, want = check_derivation(t, dmap, lam), seed_check_derivation(t, dmap, lam)
     event(want.verdict)
     assert got == want and repr(got) == repr(want)
+
+
+# On a symmetric product the checks scan sorted tuples only.  Random dense
+# products nearly always fail at (0, 0) already, so these draws start from
+# the catalog's symmetric products with their own maps, which pass at the
+# weights the catalog claims, and move one structure constant in most draws.
+# Some draws store the product on every ordered pair instead (symmetry
+# "none"), where a moved constant can break the symmetry and the full scan
+# must be kept.
+
+_SYMMETRIC = [(t, m) for alg in catalog_names() if get(alg).dimension <= 6
+              for t in get(alg).products.values() if t.symmetry == "symmetric"
+              for m in get(alg).maps.values()]
+
+
+@st.composite
+def symmetric_instances(draw):
+    t, m = draw(st.sampled_from(_SYMMETRIC))
+    d = t.dimension
+    symmetry = draw(st.sampled_from(["symmetric", "symmetric", "none"]))
+    entries = {key: t.basis_product(key) for key in stored_keys(2, d, symmetry)}
+    if draw(st.integers(0, 3)):
+        key = draw(st.sampled_from(sorted(entries)))
+        k = draw(st.integers(0, d - 1))
+        value = list(entries[key])
+        value[k] += draw(st.sampled_from([1, -1, Fraction(1, 2)]))
+        entries[key] = tuple(value)
+    return (StructureTensor(2, d, symmetry, entries), m,
+            draw(st.sampled_from([0, 1, -1])))
+
+
+def _distinct_failure(rep):
+    return not rep.passed and len(set(rep.counterexample.indices)) > 1
+
+
+_OPERATOR_ORACLES = [(check_rota_baxter, seed_check_rota_baxter),
+                     (check_derivation, seed_check_derivation)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(symmetric_instances())
+def test_operator_checks_on_symmetric_products_match_the_full_scan(instance):
+    for check, oracle in _OPERATOR_ORACLES:
+        got, want = check(*instance), oracle(*instance)
+        event(f"{instance[0].symmetry} {want.identity_name}: {want.verdict}"
+              + (" at distinct indices" if _distinct_failure(want) else ""))
+        assert got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("check, oracle", _OPERATOR_ORACLES)
+def test_symmetric_draws_fail_at_distinct_indices(check, oracle):
+    # the draws above reach the case the sorted scan must get right: the
+    # first failure of the full scan lies off the diagonal
+    instance = find(symmetric_instances(),
+                    lambda instance: instance[0].symmetry == "symmetric"
+                    and _distinct_failure(oracle(*instance)),
+                    settings=settings(database=None, derandomize=True,
+                                      phases=[Phase.generate]))
+    got, want = check(*instance), oracle(*instance)
+    assert got == want and repr(got) == repr(want)
+
+
+def test_operator_checks_scan_every_tuple_of_an_unsymmetric_product():
+    # e1 e0 = e0 is the only product, so only (1, 0) fails, and it is not
+    # sorted: a scan keyed by the wrong symmetry would pass
+    args = (StructureTensor(2, 2, "none", {(1, 0): (1, 0)}), LinearMap.identity(2), 0)
+    for check, oracle in _OPERATOR_ORACLES:
+        got, want = check(*args), oracle(*args)
+        assert want.counterexample.indices == (1, 0) and want.checked_count == 4
+        assert got == want and repr(got) == repr(want)
 
 
 def test_operator_checks_reject_a_map_of_another_dimension():

@@ -158,6 +158,14 @@ def test_spec_rejects_unknown_target_and_strategy():
         SearchSpec("rb_operator", "bracket", strategy="annealing")
 
 
+@pytest.mark.parametrize("strategy", ["grid", "random"])
+def test_spec_rejects_a_negative_max_candidates(strategy):
+    with pytest.raises(ArgumentError, match="max_candidates"):
+        SearchSpec("rb_operator", "bracket", strategy=strategy, max_candidates=-3)
+    assert SearchSpec("rb_operator", "bracket", strategy=strategy,
+                      max_candidates=0).max_candidates == 0
+
+
 # ------------------------------------------- fD_form on any binary product
 
 

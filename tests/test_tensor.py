@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from algcheck.linalg import basis_vector, vec_add, vec_scale, vector
 from algcheck.reports import ArgumentError
-from algcheck.tensor import (StructureTensor, basis, skew_from_values,
-                             sort_with_sign, stored_keys, tensors_equal)
+from algcheck.tensor import (SYMMETRIES, StructureTensor, basis, basis_tuples,
+                             skew_from_values, sort_with_sign, stored_keys,
+                             tensors_equal)
 
 scalars = st.one_of(st.integers(-5, 5),
                     st.fractions(min_value=-2, max_value=2, max_denominator=3))
@@ -41,6 +42,26 @@ def test_skew_storage_rules():
     assert t.basis_product((0, 1)) == e
     assert t.basis_product((1, 0)) == (-1, 0, 0)
     assert t.basis_product((1, 1)) == (0, 0, 0)
+
+
+def test_basis_tuples_are_keyed_by_symmetry_in_lex_order():
+    for arity, dim in ((2, 0), (2, 3), (3, 3), (3, 4)):
+        every = list(product(range(dim), repeat=arity))
+        assert list(basis_tuples(arity, dim, "none")) == every
+        assert list(basis_tuples(arity, dim, "symmetric")) == [
+            k for k in every if list(k) == sorted(k)]
+        assert list(basis_tuples(arity, dim, "skew")) == [
+            k for k in every if list(k) == sorted(set(k))]
+        for symmetry in SYMMETRIES:
+            assert stored_keys(arity, dim, symmetry) == list(
+                basis_tuples(arity, dim, symmetry))
+
+
+def test_basis_tuples_are_lazy():
+    # a scan that fails at its first tuple must not build the other 857,374
+    tuples = basis_tuples(3, 95, "none")
+    assert not isinstance(tuples, (list, tuple))
+    assert next(tuples) == (0, 0, 0) and next(tuples) == (0, 0, 1)
 
 
 def test_symmetric_storage_rules():
