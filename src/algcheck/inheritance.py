@@ -39,7 +39,7 @@ def derived_nbracket(t: StructureTensor, p: LinearMap, lam) -> StructureTensor:
         raise ArgumentError("operator dimension does not match the tensor")
     if not check_skew_symmetric(t).passed:
         raise ArgumentError("derived bracket needs a skew-symmetric input")
-    value = _basis_expansion(t, p, lam, SubsetMode.RB_HAT)
+    value = _basis_expansion(t, p.sparse_cols, lam, SubsetMode.RB_HAT)
     try:
         out = skew_from_values(t.dimension, t.arity, value, verify=True)
     except ArgumentError as exc:
@@ -209,7 +209,7 @@ def naive_bracket(t: StructureTensor, p: LinearMap) -> StructureTensor:
     Carries no Jacobi guarantee even when (t, P) is a weight-0 Rota-Baxter
     3-Lie algebra; it exists to reproduce the standard counterexample.
     """
-    value = _basis_expansion(t, p, 0, SubsetMode.DIFF_CHECK)
+    value = _basis_expansion(t, p.sparse_cols, 0, SubsetMode.DIFF_CHECK)
     if check_skew_symmetric(t).passed:
         return skew_from_values(t.dimension, t.arity, value, verify=True)
     return StructureTensor.from_function(t.arity, t.dimension, "none", value)
@@ -256,7 +256,7 @@ def derived_lts_bracket(lts: StructureTensor, p: LinearMap, lam) -> StructureTen
     result is again one with the same operator and weight (re-verified)."""
     _require(check_lts(lts), "Lie-triple-system axioms")
     _require(check_rota_baxter(lts, p, lam), "ternary Rota-Baxter identity")
-    value = _basis_expansion(lts, p, lam, SubsetMode.RB_HAT)
+    value = _basis_expansion(lts, p.sparse_cols, lam, SubsetMode.RB_HAT)
     out = StructureTensor.from_function(3, lts.dimension, "none", value)
     rep = check_lts(out)
     if not rep.passed:

@@ -63,6 +63,17 @@ def support(v: Vector) -> tuple:
     return tuple((i, c) for i, c in enumerate(v) if c)
 
 
+def apply_cols(cols, v: Vector) -> Vector:
+    """Image of ``v`` under the map with the sparse columns ``cols``; reads
+    only the columns at the nonzero entries of ``v``."""
+    out = [0] * len(v)
+    for c, col in zip(v, cols):
+        if c:
+            for i, a in col:
+                out[i] += c * a
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class LinearForm:
     """Covector; ``f(x) = sum_i row[i] * x[i]``."""
@@ -137,12 +148,7 @@ class LinearMap:
     def __call__(self, v: Vector) -> Vector:
         if len(v) != self.dimension:
             raise ArgumentError("dimension mismatch in map application")
-        out = [0] * self.dimension
-        for c, col in zip(v, self.sparse_cols):
-            if c:
-                for i, a in col:
-                    out[i] += c * a
-        return tuple(out)
+        return apply_cols(self.sparse_cols, v)
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
         if other.dimension != self.dimension:

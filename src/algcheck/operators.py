@@ -8,7 +8,9 @@ convention).  One private term builder serves :func:`subset_expansion` and
 ``_basis_expansion``, which gives the expansion at each basis tuple from the
 map's sparse columns and the subset weights, set up once per map.  Both
 checkers and the derived and naive brackets (inheritance module) use it, so
-they cannot drift apart.
+they cannot drift apart.  The two sides of the Rota-Baxter identity at a
+basis tuple are written once, in ``_rb_sides``, for
+:func:`check_rota_baxter` and for the pruned grid search (search module).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import enum
 from functools import lru_cache
 
 from .axioms import check_associative
-from .linalg import LinearMap, maps_commute, support, vector
+from .linalg import LinearMap, apply_cols, maps_commute, support, vector
 from .reports import (ArgumentError, CheckReport, InternalConsistencyError,
                       PreconditionError, first_failure, passing)
 from .scalars import Scalar, norm
@@ -86,13 +88,13 @@ def subset_expansion(t: StructureTensor, m: LinearMap, lam, args, mode):
     return t.contract(*_expansion_terms(inside, outside, _subset_weights(norm(lam), n)))
 
 
-def _basis_expansion(t: StructureTensor, m: LinearMap, lam, mode):
+def _basis_expansion(t: StructureTensor, cols, lam, mode):
     """``value(idx)``: the subset expansion at the basis tuple ``idx``, from
-    unit slots and the map's sparse columns, with the weights set up once."""
-    if m.dimension != t.dimension:
+    unit slots and the map's sparse columns ``cols``, with the weights set
+    up once.  It reads only the columns named in ``idx``, when called."""
+    if len(cols) != t.dimension:
         raise ArgumentError("operator dimension does not match the tensor")
     unit = [((i, 1),) for i in range(t.dimension)]
-    cols = m.sparse_cols
     weights = _subset_weights(norm(lam), t.arity)
     diff = mode is SubsetMode.DIFF_CHECK
 
@@ -101,6 +103,21 @@ def _basis_expansion(t: StructureTensor, m: LinearMap, lam, mode):
         inside, outside = (imgs, plain) if diff else (plain, imgs)
         return t.contract(*_expansion_terms(inside, outside, weights))
     return value
+
+
+def _rb_sides(t: StructureTensor, cols, lam):
+    """``(value, sides)`` of the Rota-Baxter identity of the map with the
+    sparse columns ``cols``: ``value(idx)`` is the subset expansion at
+    ``idx``, and ``sides(idx, value(idx))`` is the pair (product of the
+    images, P of the expansion).  ``value`` reads the columns in ``idx``;
+    ``sides`` reads those and the columns in the support of the expansion.
+    Both read ``cols`` when called, so a caller may fill it in as it goes.
+    """
+    value = _basis_expansion(t, cols, lam, SubsetMode.RB_HAT)
+
+    def sides(idx, v):
+        return vector(t.contract([cols[i] for i in idx])), apply_cols(cols, v)
+    return value, sides
 
 
 def check_rota_baxter(t: StructureTensor, p: LinearMap, lam) -> CheckReport:
@@ -121,12 +138,11 @@ def check_rota_baxter(t: StructureTensor, p: LinearMap, lam) -> CheckReport:
     failure of the full scan is the least of its permutations, so it is
     scanned, and it is reported with the same two sides.
     """
-    value = _basis_expansion(t, p, lam, SubsetMode.RB_HAT)
-    cols = p.sparse_cols
+    value, sides = _rb_sides(t, p.sparse_cols, lam)
     return first_failure(
         "rota-baxter", t.dimension ** t.arity,
         basis_tuples(t.arity, t.dimension, t.symmetry),
-        lambda idx: (vector(t.contract([cols[i] for i in idx])), p(value(idx))))
+        lambda idx: sides(idx, value(idx)))
 
 
 def check_derivation(t: StructureTensor, dmap: LinearMap, lam) -> CheckReport:
@@ -138,7 +154,7 @@ def check_derivation(t: StructureTensor, dmap: LinearMap, lam) -> CheckReport:
     both sides are invariant under permuting the arguments, so only sorted
     tuples are scanned, and on a skew one only strictly ascending tuples.
     """
-    value = _basis_expansion(t, dmap, lam, SubsetMode.DIFF_CHECK)
+    value = _basis_expansion(t, dmap.sparse_cols, lam, SubsetMode.DIFF_CHECK)
     return first_failure(
         "derivation", t.dimension ** t.arity,
         basis_tuples(t.arity, t.dimension, t.symmetry),

@@ -3,25 +3,36 @@ conditions, and small Rota-Baxter operators.
 
 The two form targets are linear in the unknown and are solved exactly by
 nullspace computation, so their answers are complete.  The Rota-Baxter
-target is quadratic in the unknown matrix; it is searched by exhaustive
-grid or seeded random enumeration over a finite entry set, which is sound
-(every result re-verifies) but not complete.  Every returned object carries
-the verifying report as its certificate; nothing trusts the search path.
+target is quadratic in the unknown matrix; it is searched over the matrices
+with entries in a finite entry set, by grid or by seeded random draws.  The
+grid is exhaustive over its entry set unless ``max_candidates`` cuts it
+short: it returns every Rota-Baxter operator with entries in the set, in
+grid order.  Random draws are sound but not complete.
+
+The grid fixes the columns of the candidate one at a time and prunes.  Each
+basis tuple of the identity depends only on the columns it names and the
+columns in the support of its subset expansion, so it is decided once those
+are fixed; when a decided tuple fails, every completion of the partial
+matrix fails there too, and the whole block of grid points below is skipped
+(the proof is in ``_pruned_grid``).  A skipped block still counts towards
+``max_candidates``.  Every returned object carries the report of a full
+check as its certificate; nothing trusts the search path.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from itertools import product as iproduct
 
 from .algebra import Algebra
 from .constructions import _fd_rows
-from .linalg import LinearForm, LinearMap, nullspace
-from .operators import check_rota_baxter
+from .linalg import LinearForm, LinearMap, nullspace, support
+from .operators import _rb_sides, check_rota_baxter
 from .reports import ArgumentError, CheckReport, InternalConsistencyError, passing
 from .scalars import norm
-from .tensor import StructureTensor, stored_keys
+from .tensor import StructureTensor, basis_tuples, stored_keys
 
 TARGETS = ("rb_operator", "annihilating_form", "fD_form")
 STRATEGIES = ("solve", "grid", "random")
@@ -54,6 +65,9 @@ class SearchSpec:
         if self.max_candidates < 0:
             raise ArgumentError(
                 f"max_candidates must be non-negative, got {self.max_candidates}")
+        if self.target == "rb_operator" and not self.entry_set:
+            raise ArgumentError(
+                "the rb_operator target needs a nonempty entry_set")
         if self.target == "rb_operator" and self.strategy == "solve":
             raise ArgumentError(
                 "the Rota-Baxter condition is quadratic in the operator; "
@@ -136,12 +150,81 @@ def _search_rb(t: StructureTensor, spec: SearchSpec) -> list:
             results.append(SearchResult(p, rep))
 
     if spec.strategy == "grid":
-        for count, flat in enumerate(iproduct(entry_set, repeat=d * d)):
-            if count >= spec.max_candidates:
-                break
-            consider(flat)
+        candidates = _pruned_grid(t, lam, entry_set, spec.max_candidates)
     else:
         rng = random.Random(spec.seed)
-        for _ in range(spec.max_candidates):
-            consider(tuple(rng.choice(entry_set) for _ in range(d * d)))
+        candidates = (tuple(rng.choice(entry_set) for _ in range(d * d))
+                      for _ in range(spec.max_candidates))
+    for flat in candidates:
+        consider(flat)
     return results
+
+
+def _pruned_grid(t: StructureTensor, lam, entry_set, cap):
+    """The points among the first ``cap`` of the grid
+    ``iproduct(entry_set, repeat=d*d)`` (flat, column-major) that no partial
+    assignment of columns rules out, lazily and in grid order.
+
+    The walk nests d loops, column 0 outermost, each over
+    ``iproduct(entry_set, repeat=d)``.  The last entry varies fastest, so
+    this is the grid's order, and the node fixing column k heads a block of
+    |E|**(d*(d-1-k)) consecutive points.  At a basis tuple ``idx`` of
+    ``basis_tuples`` for the product's symmetry, ``value(idx)`` reads the
+    columns in ``idx``, and ``sides`` reads those and the columns in the
+    support of ``value(idx)`` (``operators._rb_sides``).  The largest of
+    these indices, top(idx), is the column that decides the tuple: its value
+    is computed at column max(idx), then it waits in ``due[top(idx)]``.
+
+    *A skipped block holds no passing point.*  A node is skipped only when a
+    tuple decided at it fails.  Every point of its block agrees with the node
+    on every column that tuple reads, so its two sides there are the same,
+    and ``check_rota_baxter`` scans that tuple: every point fails it.
+
+    *Every tuple is decided at every leaf.*  Each tuple is met on the path
+    to the leaf at column max(idx) <= d-1 and waits in ``due[top(idx)]``
+    until column top(idx) <= d-1, which evaluates it: entries leave ``due``
+    only when the walk leaves the node that added them.  So a leaf passes at
+    every tuple ``check_rota_baxter`` scans, and its full check passes.
+    """
+    d = t.dimension
+    cols, dense = [None] * d, [None] * d  # the columns fixed so far
+    value, sides = _rb_sides(t, cols, lam)
+    by_max = [[] for _ in range(d)]
+    for idx in basis_tuples(t.arity, d, t.symmetry):
+        by_max[max(idx)].append(idx)
+    due = [[] for _ in range(d)]  # (idx, value(idx)) by deciding column
+    block = [len(entry_set) ** (d * (d - 1 - k)) for k in range(d)]
+
+    def passes(k):
+        # the tuples waiting for column k, then those whose own columns end
+        # at k, each evaluated as soon as it is decided
+        if any(lhs != rhs for lhs, rhs in (sides(*e) for e in due[k])):
+            return False
+        for idx in by_max[k]:
+            v = value(idx)
+            top = next((i for i in range(d - 1, k, -1) if v[i]), k)
+            if top > k:
+                due[top].append((idx, v))
+            else:
+                lhs, rhs = sides(idx, v)
+                if lhs != rhs:
+                    return False
+        return True
+
+    def visit(k, base):
+        if k == d:
+            yield tuple(chain.from_iterable(dense))
+            return
+        for col in iproduct(entry_set, repeat=d):
+            if base >= cap:
+                return
+            cols[k], dense[k] = support(col), col
+            marks = [len(q) for q in due]
+            if passes(k):
+                yield from visit(k + 1, base)
+            for q, n in zip(due, marks):
+                del q[n:]
+            base += block[k]
+
+    if cap > 0:  # with d == 0 the one point has no column to count it
+        yield from visit(0, 0)

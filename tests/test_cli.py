@@ -6,6 +6,8 @@ from algcheck.catalog import catalog_names
 from algcheck.cli import run_cli
 from algcheck.files import dumps, load
 from algcheck.catalog import get
+from algcheck.linalg import LinearMap
+from algcheck.operators import check_rota_baxter
 from algcheck.tensor import StructureTensor
 
 
@@ -262,6 +264,33 @@ def test_search_negative_max_candidates_exits_2(capsys):
     assert text == ""
     assert capsys.readouterr().err == (
         "error: max_candidates must be non-negative, got -3\n")
+
+
+def test_search_covers_the_whole_q4_grid(tmp_path, capsys):
+    # 3**16 points; only the pruning makes this grid searchable in seconds
+    path = tmp_path / "rep.json"
+    code, text = run("search", "q4", "--target", "rb_operator", "--weight", "1",
+                     "--max-candidates", str(3 ** 16), "--report", str(path))
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    lines = text.splitlines()
+    assert lines[0] == "2000 result(s) for target rb_operator"
+    assert len(lines) == 2001
+    assert all(line.endswith("certificate: rota-baxter pass")
+               for line in lines[1:])
+    # each listed map, read back from stdout, passes the check afresh
+    q4 = get("q4").products["prod"]
+    maps = {tuple(tuple(int(v) for v in col.strip(" ()").split(", "))
+                  for col in line.split("map cols ")[1].split("  ")[0]
+                  .split("; "))
+            for line in lines[1:]}
+    assert len(maps) == 2000
+    assert all(check_rota_baxter(q4, LinearMap(cols), 1).passed
+               for cols in maps)
+    results = json.loads(path.read_text())["results"]
+    assert len(results) == 2000
+    assert all(r["verdict"] == "pass" and r["checked_count"] == 16
+               for r in results)
 
 
 def test_search_note_on_a_grid_too_large_to_print(tmp_path, capsys):

@@ -1,17 +1,24 @@
+import importlib
 from fractions import Fraction
 from itertools import product as iproduct
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from algcheck.algebra import Algebra
 from algcheck.catalog import get
 from algcheck.linalg import (LinearForm, LinearMap, basis_vector, nullspace,
                              vec_add, vec_sub)
+from algcheck.operators import check_rota_baxter
 from algcheck.reports import ArgumentError
+from algcheck.scalars import norm
 from algcheck.search import SearchSpec, search
-from algcheck.tensor import StructureTensor, stored_keys
+from algcheck.tensor import SYMMETRIES, StructureTensor, stored_keys
+
+# the package exports the function ``search`` over its module's name
+search_module = importlib.import_module("algcheck.search")
 
 # ---------------------------------------------------------------- oracles
 
@@ -36,6 +43,36 @@ def all_rb_matrices_2d(t, entry_set):
         if oracle_rb_weight0_binary(t, p):
             out.add(p.cols)
     return out
+
+
+def plain_grid(t, spec):
+    """The grid strategy as one flat loop that fully checks every distinct
+    point below ``max_candidates``, without pruning: ``(cols, certificate)``
+    of each result, in grid order."""
+    d = t.dimension
+    lam = norm(spec.weight)
+    entry_set = tuple(norm(e) for e in spec.entry_set)
+    results, seen = [], set()
+    for count, flat in enumerate(iproduct(entry_set, repeat=d * d)):
+        if count >= spec.max_candidates:
+            break
+        if flat in seen:
+            continue
+        seen.add(flat)
+        p = LinearMap.from_cols([flat[j * d:(j + 1) * d] for j in range(d)])
+        rep = check_rota_baxter(t, p, lam)
+        if rep.passed:
+            results.append((p.cols, rep))
+    return results
+
+
+def assert_grid_matches_plain(alg, product, **kw):
+    spec = SearchSpec("rb_operator", product, strategy="grid", **kw)
+    got = [(r.found.cols, r.certificate) for r in search(alg, spec)]
+    want = plain_grid(alg.products[product], spec)
+    assert got == want
+    assert repr(got) == repr(want)
+    return got
 
 
 # ----------------------------------------------------------- form targets
@@ -127,6 +164,10 @@ def test_rb_random_seed_changes_order():
                                max_candidates=500, seed=2))
     # soundness regardless of seed
     assert all(r.certificate.passed for r in a + b)
+    # 500 draws over 81 cells find the same operators in another order
+    cols_a, cols_b = [r.found.cols for r in a], [r.found.cols for r in b]
+    assert sorted(cols_a) == sorted(cols_b)
+    assert cols_a != cols_b
 
 
 def test_rb_weight_one_finds_minus_identity():
@@ -134,6 +175,96 @@ def test_rb_weight_one_finds_minus_identity():
     results = search(alg, SearchSpec("rb_operator", "bracket", weight=1,
                                      strategy="grid"))
     assert LinearMap.scalar(2, -1).cols in {r.found.cols for r in results}
+
+
+# ------------------------------------------- pruned grid vs the plain grid
+
+
+@pytest.mark.parametrize("entry_set", [(-1, 0, 1), (0, 0, 1),
+                                       (Fraction(1, 2), 0, -1)])
+@pytest.mark.parametrize("weight", [0, 1, -1])
+def test_pruned_grid_matches_plain_grid_at_every_cap(weight, entry_set):
+    alg = get("nonabelian2")
+    space = len(entry_set) ** 4
+    for cap in range(space + 2):
+        assert_grid_matches_plain(alg, "bracket", weight=weight,
+                                  entry_set=entry_set, max_candidates=cap)
+
+
+@pytest.mark.parametrize("weight", [1, -1])
+def test_pruned_grid_matches_plain_grid_on_q3(weight):
+    # at weight -1 the first column (-1, -1, -1) fails at (0, 0), so points
+    # 0-728 are one skipped block; at weight 1 points 27-53 are one, skipped
+    # at the second column.  Caps 1, 50 and 728 fall inside such blocks.
+    alg = get("q3")
+    for cap in (0, 1, 50, 728, 729, 730, 3 ** 9):
+        got = assert_grid_matches_plain(alg, "prod", weight=weight,
+                                        max_candidates=cap)
+    assert len(got) == 128
+
+
+@pytest.mark.parametrize("name, product, weight, count", [
+    ("q3", "prod", 1, 128), ("q3", "prod", -1, 128),
+    ("heisenberg", "bracket", 1, 648)])
+def test_pruned_grid_checks_each_result_once(name, product, weight, count):
+    # every tuple is decided once every column is fixed, so the full check
+    # runs only at the leaves, and every leaf passes: 128 checks on q3, not
+    # 3**9.  On heisenberg, [e0, e1] = e2 makes the tuple (0, 1) wait for
+    # column 2.
+    with mock.patch.object(search_module, "check_rota_baxter",
+                           wraps=check_rota_baxter) as counted:
+        results = search(get(name), SearchSpec("rb_operator", product,
+                                               weight=weight, strategy="grid"))
+    assert len(results) == counted.call_count == count
+
+
+_grid_coeffs = st.sampled_from((0, 0, 0, 0, 1, -1, 2, Fraction(1, 2)))
+
+
+@st.composite
+def grid_instances(draw):
+    """A product of any symmetry (binary up to dim 3, ternary at dim 2),
+    mostly zero so that operators exist, and an entry set that may repeat
+    entries or hold a fraction, small enough for the plain grid."""
+    symmetry = draw(st.sampled_from(SYMMETRIES))
+    arity, d = draw(st.sampled_from(((2, 1), (2, 2), (2, 3), (3, 2))))
+    vec = st.lists(_grid_coeffs, min_size=d, max_size=d).map(tuple)
+    keys = stored_keys(arity, d, symmetry)
+    t = StructureTensor(arity, d, symmetry, dict(zip(
+        keys, draw(st.lists(vec, min_size=len(keys), max_size=len(keys))))))
+    entry_set = tuple(draw(st.lists(
+        st.sampled_from((0, 1, -1, Fraction(1, 2))), min_size=1,
+        max_size=2 if d == 3 else 3)))
+    return t, entry_set
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_instances(), st.sampled_from((0, 1, -1)), st.data())
+def test_pruned_grid_matches_plain_grid_on_random_products(instance, weight,
+                                                           data):
+    t, entry_set = instance
+    alg = Algebra("x", t.dimension, tuple(f"e{i}" for i in range(t.dimension)),
+                  products={"prod": t})
+    space = len(entry_set) ** (t.dimension ** 2)
+    caps = data.draw(st.lists(st.integers(0, space), max_size=3))
+    for cap in [0, 1, *caps, space, space + 1]:
+        # the full check runs once per result, also where a tuple waits for
+        # a column beyond its own
+        with mock.patch.object(search_module, "check_rota_baxter",
+                               wraps=check_rota_baxter) as counted:
+            found = assert_grid_matches_plain(alg, "prod", weight=weight,
+                                              entry_set=entry_set,
+                                              max_candidates=cap)
+        assert counted.call_count == len(found)
+    event(f"{t.symmetry}, results {'found' if found else 'none'}")
+
+
+def test_pruned_grid_on_a_zero_dimensional_product():
+    # the walk has no column to fix; the one empty matrix is the only point
+    alg = Algebra("point", 0, (), products={"prod": StructureTensor.zero(2, 0)})
+    for cap in (0, 1, 2):
+        found = assert_grid_matches_plain(alg, "prod", max_candidates=cap)
+        assert len(found) == min(cap, 1)
 
 
 # ------------------------------------------------------------- spec checks
@@ -164,6 +295,12 @@ def test_spec_rejects_a_negative_max_candidates(strategy):
         SearchSpec("rb_operator", "bracket", strategy=strategy, max_candidates=-3)
     assert SearchSpec("rb_operator", "bracket", strategy=strategy,
                       max_candidates=0).max_candidates == 0
+
+
+@pytest.mark.parametrize("strategy", ["grid", "random"])
+def test_spec_rejects_an_empty_entry_set(strategy):
+    with pytest.raises(ArgumentError, match="entry_set"):
+        SearchSpec("rb_operator", "bracket", strategy=strategy, entry_set=())
 
 
 # ------------------------------------------- fD_form on any binary product
