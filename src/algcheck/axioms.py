@@ -212,6 +212,23 @@ def check_lts(t: StructureTensor) -> CheckReport:
     return next((rep for rep in reports if not rep.passed), passing("lts", count))
 
 
+# every axiom check by its name on the command line
+AXIOM_CHECKS = {
+    "jacobi": check_n_jacobi,
+    "skew": check_skew_symmetric,
+    "assoc": check_associative,
+    "comm": check_commutative,
+    "prelie": check_prelie,
+    "lie": check_lie,
+    "lts": check_lts,
+}
+
+# the axioms each claim of an algebra file asserts, in the order checked
+CLAIM_AXIOMS = {"3lie": ("skew", "jacobi"), "assoc": ("assoc",),
+                "comm": ("comm",), "lie": ("lie",), "prelie": ("prelie",),
+                "lts": ("lts",)}
+
+
 def commutator(t: StructureTensor) -> StructureTensor:
     """Skew tensor x*y - y*x of a binary product."""
     if t.arity != 2:

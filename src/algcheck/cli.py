@@ -14,33 +14,15 @@ import sys
 from . import files
 from .catalog import catalog, catalog_names, get as catalog_get
 from .algebra import Algebra
-from .axioms import (check_associative, check_commutative, check_lie,
-                     check_lts, check_n_jacobi, check_prelie,
-                     check_skew_symmetric)
+from .axioms import AXIOM_CHECKS as _AXIOMS
 from .constructions import det_bracket_2, det_bracket_3, fD_bracket, \
     f_bracket, prelie_from_comm_assoc, thm36_bracket
 from .inheritance import derived_nbracket, lts_from_lie, naive_bracket
-from .operators import check_derivation, check_duality, check_rota_baxter
+from .operators import OPERATOR_CHECKS as _OP_KINDS
 from .reports import (ArgumentError, FileFormatError,
                       InternalConsistencyError, PreconditionError)
 from .scalars import format_rational, parse_rational
 from .selftest import run_selftest
-
-_AXIOMS = {
-    "jacobi": check_n_jacobi,
-    "skew": check_skew_symmetric,
-    "assoc": check_associative,
-    "comm": check_commutative,
-    "prelie": check_prelie,
-    "lie": check_lie,
-    "lts": check_lts,
-}
-
-_OP_KINDS = {
-    "rb": check_rota_baxter,
-    "derivation": check_derivation,
-    "duality": check_duality,
-}
 
 _RECIPES = ("f-bracket", "fD-bracket", "det2", "det3", "derived", "naive",
             "lts", "prelie-from-assoc", "thm36")

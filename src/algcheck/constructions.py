@@ -4,9 +4,10 @@ associative algebras, with their side conditions.
 Every side condition a theorem assumes (annihilating forms, commuting maps,
 derivation/Rota-Baxter hypotheses) is verified eagerly at construction time,
 never trusted; silent misuse would produce non-Jacobi tensors.  Conclusions
-the theorems make unconditional under those hypotheses are re-verified and a
-failure raises :class:`InternalConsistencyError` (it can only mean a bug
-here, not bad input).
+the theorems make unconditional under those hypotheses are re-verified.
+Both go through the gates of :mod:`reports`: ``require`` for a hypothesis,
+``conclude`` for a conclusion and ``agree`` for two verdicts a theorem
+makes equivalent.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .linalg import (LinearForm, LinearMap, basis_vector, maps_commute,
                      support, vec_add, vec_is_zero, vec_scale, vec_sub,
                      zero_vector)
 from .operators import _subset_weights, check_derivation, check_rota_baxter
-from .reports import (CheckReport, InternalConsistencyError, PreconditionError,
-                      first_failure)
+from .reports import (CheckReport, PreconditionError, agree, conclude,
+                      first_failure, require)
 from .scalars import norm
 from .tensor import StructureTensor, basis_tuples
 
@@ -31,23 +32,9 @@ _PERMS3 = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
            ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1))
 
 
-def _require(report: CheckReport, what: str):
-    if not report.passed:
-        raise PreconditionError(
-            f"{what} fails at basis tuple {report.counterexample.indices}")
-
-
 def _require_comm_assoc(assoc: StructureTensor):
-    _require(check_commutative(assoc), "commutativity")
-    _require(check_associative(assoc), "associativity")
-
-
-def _assert_jacobi(t: StructureTensor, theorem: str):
-    rep = check_n_jacobi(t)
-    if not rep.passed:
-        raise InternalConsistencyError(
-            f"{theorem}: constructed bracket violates the Jacobi identity at "
-            f"{rep.counterexample.indices}")
+    require(check_commutative(assoc), "commutativity")
+    require(check_associative(assoc), "associativity")
 
 
 def _verify_annihilating(lie: StructureTensor, f: LinearForm):
@@ -116,11 +103,11 @@ def _cyclic_condition(name, d, f: LinearForm, pair, kmap=None) -> CheckReport:
 def f_bracket(lie: StructureTensor, f: LinearForm) -> StructureTensor:
     """Ternary bracket f(x)[y,z] + f(y)[z,x] + f(z)[x,y] from a Lie bracket
     and a form vanishing on all brackets."""
-    _require(check_lie(lie), "Lie axioms")
+    require(check_lie(lie), "Lie axioms")
     _verify_annihilating(lie, f)
     t = StructureTensor.from_function(
         3, lie.dimension, "skew", _cyclic(f, lambda a, b: lie.contract((a, b))))
-    _assert_jacobi(t, "f-bracket construction")
+    conclude(check_n_jacobi(t), "f-bracket: Jacobi identity")
     return t
 
 
@@ -134,18 +121,14 @@ def thm32_condition(lie: StructureTensor, p: LinearMap, lam,
     must agree; a mismatch is an internal error.
     """
     fb = f_bracket(lie, f)
-    _require(check_rota_baxter(lie, p, lam), "Rota-Baxter identity on the Lie bracket")
+    require(check_rota_baxter(lie, p, lam), "Rota-Baxter identity on the Lie bracket")
     d = lie.dimension
     pc = p.sparse_cols
     cond = _cyclic_condition(
         "f-bracket-rb-kernel-condition", d, f,
         lambda a, b: lie.contract((pc[a], pc[b])), p + LinearMap.scalar(d, lam))
-    rb = check_rota_baxter(fb, p, lam)
-    if cond.passed != rb.passed:
-        raise InternalConsistencyError(
-            "kernel condition and direct Rota-Baxter verdict on the "
-            f"f-bracket disagree: condition={cond.verdict}, rb={rb.verdict}")
-    return cond
+    return agree(cond, check_rota_baxter(fb, p, lam),
+                 "f-bracket kernel condition and direct Rota-Baxter verdict")
 
 
 def cor33_condition(lie: StructureTensor, p: LinearMap,
@@ -158,7 +141,7 @@ def cor33_condition(lie: StructureTensor, p: LinearMap,
     readings can genuinely differ (Ker P^2 is smaller than what the other
     requires), so a separation is logged rather than raised.
     """
-    _require(check_lie(lie), "Lie axioms")
+    require(check_lie(lie), "Lie axioms")
     _verify_annihilating(lie, f)
     # by bilinearity the cyclic sum of [f(x)P(y) - f(y)P(x), z] is
     # f(x) B(y, z) + cyclic, with B(a, b) = [P(e_a), e_b] - [P(e_b), e_a]
@@ -188,8 +171,8 @@ def derived_prelie(prelie: StructureTensor, p: LinearMap, lam) -> StructureTenso
     general), so pre-Lie-ness of the result is demanded as an additional
     verified condition rather than assumed.
     """
-    _require(check_prelie(prelie), "pre-Lie axiom")
-    _require(check_rota_baxter(prelie, p, lam), "Rota-Baxter identity")
+    require(check_prelie(prelie), "pre-Lie axiom")
+    require(check_rota_baxter(prelie, p, lam), "Rota-Baxter identity")
     lam = norm(lam)
     pc, neg = p.sparse_cols, p.scaled(-1).sparse_cols
 
@@ -199,11 +182,9 @@ def derived_prelie(prelie: StructureTensor, p: LinearMap, lam) -> StructureTenso
 
     t = StructureTensor.from_function(2, prelie.dimension, "none", value)
     rep = check_prelie(t)
-    if not rep.passed:
-        if lam == 0:
-            raise InternalConsistencyError(
-                "weight-0 derived pre-Lie product fails the pre-Lie axiom "
-                f"at {rep.counterexample.indices}")
+    if lam == 0:
+        conclude(rep, "weight-0 derived pre-Lie product: pre-Lie axiom")
+    elif not rep.passed:
         raise PreconditionError(
             "derived product is not pre-Lie at this nonzero weight "
             f"(violation at basis triple {rep.counterexample.indices})")
@@ -221,16 +202,12 @@ def prelie_from_comm_assoc(assoc: StructureTensor, dmap: LinearMap) -> Structure
     commutator up to sign.
     """
     _require_comm_assoc(assoc)
-    _require(check_derivation(assoc, dmap, 0), "derivation identity")
+    require(check_derivation(assoc, dmap, 0), "derivation identity")
     dc = dmap.sparse_cols
     t = StructureTensor.from_function(
         2, assoc.dimension, "none",
         lambda key: assoc.contract((key[0], dc[key[1]])))
-    rep = check_prelie(t)
-    if not rep.passed:
-        raise InternalConsistencyError(
-            "x.D(y) product fails the pre-Lie axiom at "
-            f"{rep.counterexample.indices}")
+    conclude(check_prelie(t), "x.D(y) product: pre-Lie axiom")
     return t
 
 
@@ -256,9 +233,9 @@ def thm36_f_condition(prelie: StructureTensor, p: LinearMap,
 
 
 def _thm36_preconditions(prelie, p, f):
-    _require(check_prelie(prelie), "pre-Lie axiom")
-    _require(check_rota_baxter(prelie, p, 0), "weight-0 Rota-Baxter identity")
-    _require(thm36_f_condition(prelie, p, f), "form/P symmetry condition")
+    require(check_prelie(prelie), "pre-Lie axiom")
+    require(check_rota_baxter(prelie, p, 0), "weight-0 Rota-Baxter identity")
+    require(thm36_f_condition(prelie, p, f), "form/P symmetry condition")
 
 
 def thm36_bracket(prelie: StructureTensor, p: LinearMap,
@@ -272,7 +249,7 @@ def thm36_bracket(prelie: StructureTensor, p: LinearMap,
     t = StructureTensor.from_function(
         3, prelie.dimension, "skew",
         _cyclic(f, _twisted(commutator(prelie), p)))
-    _assert_jacobi(t, "pre-Lie ternary bracket construction")
+    conclude(check_n_jacobi(t), "pre-Lie ternary bracket: Jacobi identity")
     return t
 
 
@@ -285,12 +262,9 @@ def thm36_rb_condition(prelie: StructureTensor, p: LinearMap,
     p2 = p @ p
     cond = _cyclic_condition("P2-commutator-vanishing", prelie.dimension, f,
                              _twisted(prelie, p2, p2))
-    rb = check_rota_baxter(thm36_bracket(prelie, p, f), p, 0)
-    if cond.passed != rb.passed:
-        raise InternalConsistencyError(
-            "P^2 vanishing condition and direct Rota-Baxter verdict "
-            f"disagree: condition={cond.verdict}, rb={rb.verdict}")
-    return cond
+    return agree(cond, check_rota_baxter(thm36_bracket(prelie, p, f), p, 0),
+                 "pre-Lie ternary bracket P^2 vanishing condition and direct "
+                 "Rota-Baxter verdict")
 
 
 def _fd_rows(t: StructureTensor, dmap: LinearMap) -> list:
@@ -307,7 +281,7 @@ def _fd_rows(t: StructureTensor, dmap: LinearMap) -> list:
 
 def _fd_preconditions(assoc, f, dmap):
     _require_comm_assoc(assoc)
-    _require(check_derivation(assoc, dmap, 0), "derivation identity")
+    require(check_derivation(assoc, dmap, 0), "derivation identity")
     # commutative, so the first failing pair of the full scan has i <= j
     for (i, j), row in _fd_rows(assoc, dmap):
         if f(row) != 0:
@@ -322,7 +296,7 @@ def fD_bracket(assoc: StructureTensor, f: LinearForm,
     _fd_preconditions(assoc, f, dmap)
     t = StructureTensor.from_function(
         3, assoc.dimension, "skew", _cyclic(f, _twisted(assoc, dmap)))
-    _assert_jacobi(t, "f,D determinant bracket construction")
+    conclude(check_n_jacobi(t), "f,D determinant bracket: Jacobi identity")
     return t
 
 
@@ -360,19 +334,15 @@ def thm42_condition(assoc: StructureTensor, p: LinearMap, lam, f: LinearForm,
     _fd_preconditions(assoc, f, dmap)
     if not maps_commute(p, dmap):
         raise PreconditionError("P and D do not commute")
-    _require(check_rota_baxter(assoc, p, lam),
+    require(check_rota_baxter(assoc, p, lam),
              "Rota-Baxter identity on the commutative algebra")
     fb = fD_bracket(assoc, f, dmap)
     d = assoc.dimension
     cond = _cyclic_condition(
         "fD-bracket-rb-kernel-condition", d, f, _twisted(assoc, dmap @ p, p),
         p + LinearMap.scalar(d, lam))
-    rb = check_rota_baxter(fb, p, lam)
-    if cond.passed != rb.passed:
-        raise InternalConsistencyError(
-            "kernel condition and direct Rota-Baxter verdict on the f,D "
-            f"bracket disagree: condition={cond.verdict}, rb={rb.verdict}")
-    return cond
+    return agree(cond, check_rota_baxter(fb, p, lam),
+                 "f,D bracket kernel condition and direct Rota-Baxter verdict")
 
 
 def _det3_elements(assoc, rows):
@@ -392,7 +362,7 @@ def _det3_elements(assoc, rows):
 def _det_preconditions(assoc, dmaps):
     _require_comm_assoc(assoc)
     for idx, dm in enumerate(dmaps):
-        _require(check_derivation(assoc, dm, 0), f"derivation identity of D{idx + 1}")
+        require(check_derivation(assoc, dm, 0), f"derivation identity of D{idx + 1}")
     for a in range(len(dmaps)):
         for b in range(a + 1, len(dmaps)):
             if not maps_commute(dmaps[a], dmaps[b]):
@@ -408,7 +378,7 @@ def det_bracket_2(assoc: StructureTensor, d1: LinearMap,
     t = StructureTensor.from_function(
         3, assoc.dimension, "skew", lambda key: _det3_elements(
             assoc, (key, [c1[i] for i in key], [c2[i] for i in key])))
-    _assert_jacobi(t, "two-derivation determinant bracket")
+    conclude(check_n_jacobi(t), "two-derivation bracket: Jacobi identity")
     return t
 
 
@@ -421,7 +391,7 @@ def det_bracket_3(assoc: StructureTensor, d1: LinearMap, d2: LinearMap,
     t = StructureTensor.from_function(
         3, assoc.dimension, "skew", lambda key: _det3_elements(
             assoc, [[c[i] for i in key] for c in cols]))
-    _assert_jacobi(t, "three-derivation determinant bracket")
+    conclude(check_n_jacobi(t), "three-derivation bracket: Jacobi identity")
     return t
 
 
@@ -446,7 +416,7 @@ def det_rb_expansion_check(assoc: StructureTensor, p: LinearMap, lam) -> CheckRe
     the full scan, with the same two sides.
     """
     _require_comm_assoc(assoc)
-    _require(check_rota_baxter(assoc, p, lam), "Rota-Baxter identity")
+    require(check_rota_baxter(assoc, p, lam), "Rota-Baxter identity")
     return _det_rb_scan(assoc, p, lam)
 
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 
 from .algebra import Algebra, OperatorClaim
+from .axioms import CLAIM_AXIOMS
 from .linalg import LinearForm, LinearMap
+from .operators import OPERATOR_CHECKS
 from .reports import FileFormatError
 from .scalars import format_rational, parse_rational
 from .tensor import SYMMETRIES, StructureTensor
@@ -20,8 +22,8 @@ from .tensor import SYMMETRIES, StructureTensor
 ALGEBRA_FORMAT = "algcheck-algebra/1"
 REPORT_FORMAT = "algcheck-report/1"
 
-KNOWN_CLAIMS = ("3lie", "assoc", "comm", "lie", "prelie", "lts")
-KNOWN_OP_KINDS = ("rb", "derivation", "duality")
+KNOWN_CLAIMS = tuple(CLAIM_AXIOMS)
+KNOWN_OP_KINDS = tuple(OPERATOR_CHECKS)
 
 
 def _scalar(value, location):

@@ -3,10 +3,10 @@
 The derived bracket [.,.,.]_P is the Rota-Baxter subset expansion of a
 ternary bracket; when the input is a Rota-Baxter 3-Lie algebra the result is
 again one with the same operator and weight, and those conclusions are
-unconditional, so they are re-verified here and any failure raises
-:class:`InternalConsistencyError`.  The "naive" single-replacement sum is
-also provided: it carries no Jacobi guarantee and exists to exhibit the
-standard counterexample.  Both brackets take each entry from the operator
+unconditional, so they are re-verified here through ``reports.conclude``;
+hypotheses go through ``reports.require``.  The "naive" single-replacement
+sum is also provided: it carries no Jacobi guarantee and exists to exhibit
+the standard counterexample.  Both brackets take each entry from the operator
 checkers' basis-tuple expansion (``operators._basis_expansion``), the naive
 one at weight 0, where only the one-element subsets carry weight.
 """
@@ -16,14 +16,14 @@ from __future__ import annotations
 from operator import add
 
 from .axioms import check_lie, check_lts, check_n_jacobi, check_skew_symmetric
-from .constructions import (_cyclic, _cyclic_condition, _require,
-                            _verify_annihilating, f_bracket)
+from .constructions import (_cyclic, _cyclic_condition, _verify_annihilating,
+                            f_bracket)
 from .linalg import (LinearForm, LinearMap, basis_vector, maps_commute,
                      vec_add, vec_scale, zero_vector)
 from .operators import (SubsetMode, _basis_expansion, check_derivation,
                         check_rota_baxter)
 from .reports import (ArgumentError, CheckReport, InternalConsistencyError,
-                      PreconditionError, passing)
+                      PreconditionError, conclude, passing, require)
 from .scalars import norm
 from .tensor import StructureTensor, skew_from_values, tensors_equal
 
@@ -47,16 +47,9 @@ def derived_nbracket(t: StructureTensor, p: LinearMap, lam) -> StructureTensor:
         raise InternalConsistencyError(
             f"derived bracket of a skew input is not skew: {exc}") from exc
     if check_n_jacobi(t).passed and check_rota_baxter(t, p, lam).passed:
-        jac = check_n_jacobi(out)
-        if not jac.passed:
-            raise InternalConsistencyError(
-                "derived bracket of a Rota-Baxter bracket violates the "
-                f"Jacobi identity at {jac.counterexample.indices}")
-        rb = check_rota_baxter(out, p, lam)
-        if not rb.passed:
-            raise InternalConsistencyError(
-                "the operator is not Rota-Baxter on its own derived bracket "
-                f"(violation at {rb.counterexample.indices})")
+        conclude(check_n_jacobi(out), "derived bracket: Jacobi identity")
+        conclude(check_rota_baxter(out, p, lam),
+                 "derived bracket: Rota-Baxter identity of the operator")
     return out
 
 
@@ -64,16 +57,13 @@ def check_derivation_transfer(t: StructureTensor, p: LinearMap, lam,
                               dmap: LinearMap) -> CheckReport:
     """A weight-lambda derivation commuting with P stays a derivation of the
     derived bracket; unconditional, so a failure is an internal error."""
-    _require(check_n_jacobi(t), "Jacobi identity")
-    _require(check_rota_baxter(t, p, lam), "Rota-Baxter identity")
-    _require(check_derivation(t, dmap, lam), "derivation identity")
+    require(check_n_jacobi(t), "Jacobi identity")
+    require(check_rota_baxter(t, p, lam), "Rota-Baxter identity")
+    require(check_derivation(t, dmap, lam), "derivation identity")
     if not maps_commute(dmap, p):
         raise PreconditionError("derivation and Rota-Baxter operator do not commute")
-    rep = check_derivation(derived_nbracket(t, p, lam), dmap, lam)
-    if not rep.passed:
-        raise InternalConsistencyError(
-            "derivation fails to transfer to the derived bracket at "
-            f"{rep.counterexample.indices}")
+    rep = conclude(check_derivation(derived_nbracket(t, p, lam), dmap, lam),
+                   "derivation transfer to the derived bracket")
     return passing("derivation-transfer", rep.checked_count)
 
 
@@ -81,10 +71,10 @@ def cor53_bracket(t: StructureTensor, dmap: LinearMap, lam) -> StructureTensor:
     """Conjugated bracket d([d^{-1}x, d^{-1}y, d^{-1}z]) of an invertible
     weight-lambda derivation; equals the derived bracket of d^{-1} and that
     equality is asserted."""
-    _require(check_n_jacobi(t), "Jacobi identity")
+    require(check_n_jacobi(t), "Jacobi identity")
     if not dmap.is_invertible():
         raise PreconditionError("derivation must be invertible")
-    _require(check_derivation(t, dmap, lam), "derivation identity")
+    require(check_derivation(t, dmap, lam), "derivation identity")
     dinv = dmap.inverse()
     cols = dinv.sparse_cols
     out = StructureTensor.from_function(
@@ -95,17 +85,14 @@ def cor53_bracket(t: StructureTensor, dmap: LinearMap, lam) -> StructureTensor:
         raise InternalConsistencyError(
             "conjugated bracket differs from the derived bracket of the "
             "inverse operator")
-    der = check_derivation(out, dmap, lam)
-    if not der.passed:
-        raise InternalConsistencyError(
-            "the derivation fails on its own conjugated bracket at "
-            f"{der.counterexample.indices}")
+    conclude(check_derivation(out, dmap, lam),
+             "conjugated bracket: derivation identity")
     return out
 
 
 def _cor54_preconditions(lie, p, lam, f):
-    _require(check_lie(lie), "Lie axioms")
-    _require(check_rota_baxter(lie, p, lam), "binary Rota-Baxter identity")
+    require(check_lie(lie), "Lie axioms")
+    require(check_rota_baxter(lie, p, lam), "binary Rota-Baxter identity")
     _verify_annihilating(lie, f)
     d = lie.dimension
     pc = p.sparse_cols
@@ -148,11 +135,8 @@ def cor54_bracket(lie: StructureTensor, p: LinearMap, lam,
         raise InternalConsistencyError(
             "explicit expansion differs from the generic derived bracket "
             "of the f-bracket")
-    rb = check_rota_baxter(out, p, lam)
-    if not rb.passed:
-        raise InternalConsistencyError(
-            "operator is not Rota-Baxter on the expanded bracket at "
-            f"{rb.counterexample.indices}")
+    conclude(check_rota_baxter(out, p, lam),
+             "explicit derived f-bracket: Rota-Baxter identity")
     return out
 
 
@@ -222,7 +206,7 @@ def lts_from_lie(lie: StructureTensor) -> StructureTensor:
     arguments.  The triple-system axioms are re-verified (they hold for any
     Lie algebra) and a failure is an internal error.
     """
-    _require(check_lie(lie), "Lie axioms")
+    require(check_lie(lie), "Lie axioms")
     d = lie.dimension
 
     def value(key):
@@ -230,42 +214,28 @@ def lts_from_lie(lie: StructureTensor) -> StructureTensor:
         return lie.contract((i, lie.table.get((j, k), ())))
 
     out = StructureTensor.from_function(3, d, "none", value)
-    rep = check_lts(out)
-    if not rep.passed:
-        raise InternalConsistencyError(
-            "triple bracket of a Lie algebra fails the Lie-triple-system "
-            f"axioms at {rep.counterexample.indices}")
+    conclude(check_lts(out), "Lie triple system of a Lie algebra: axioms")
     return out
 
 
 def check_rb_lts_transfer(lie: StructureTensor, p: LinearMap, lam) -> CheckReport:
     """A Rota-Baxter operator on a Lie algebra is Rota-Baxter on the induced
     Lie triple system; unconditional, so a failure is an internal error."""
-    _require(check_rota_baxter(lie, p, lam), "binary Rota-Baxter identity")
+    require(check_rota_baxter(lie, p, lam), "binary Rota-Baxter identity")
     lts = lts_from_lie(lie)
-    rep = check_rota_baxter(lts, p, lam)
-    if not rep.passed:
-        raise InternalConsistencyError(
-            "Rota-Baxter operator fails the ternary identity on the induced "
-            f"Lie triple system at {rep.counterexample.indices}")
+    rep = conclude(check_rota_baxter(lts, p, lam),
+                   "induced Lie triple system: Rota-Baxter identity")
     return passing("lts-rb-transfer", rep.checked_count)
 
 
 def derived_lts_bracket(lts: StructureTensor, p: LinearMap, lam) -> StructureTensor:
     """Subset-expansion bracket of a Rota-Baxter Lie triple system; the
     result is again one with the same operator and weight (re-verified)."""
-    _require(check_lts(lts), "Lie-triple-system axioms")
-    _require(check_rota_baxter(lts, p, lam), "ternary Rota-Baxter identity")
+    require(check_lts(lts), "Lie-triple-system axioms")
+    require(check_rota_baxter(lts, p, lam), "ternary Rota-Baxter identity")
     value = _basis_expansion(lts, p.sparse_cols, lam, SubsetMode.RB_HAT)
     out = StructureTensor.from_function(3, lts.dimension, "none", value)
-    rep = check_lts(out)
-    if not rep.passed:
-        raise InternalConsistencyError(
-            "derived bracket of a Rota-Baxter Lie triple system fails the "
-            f"axioms at {rep.counterexample.indices}")
-    rb = check_rota_baxter(out, p, lam)
-    if not rb.passed:
-        raise InternalConsistencyError(
-            "operator is not Rota-Baxter on the derived triple bracket at "
-            f"{rb.counterexample.indices}")
+    conclude(check_lts(out), "derived Lie triple system: axioms")
+    conclude(check_rota_baxter(out, p, lam),
+             "derived Lie triple system: Rota-Baxter identity")
     return out

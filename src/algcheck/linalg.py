@@ -168,45 +168,21 @@ class LinearMap:
         return LinearMap(tuple(vec_scale(c, col) for col in self.cols))
 
     def determinant(self) -> Scalar:
-        m = [list(r) for r in self.rows()]
-        d = self.dimension
-        det = Fraction(1)
-        for j in range(d):
-            pivot = next((i for i in range(j, d) if m[i][j] != 0), None)
-            if pivot is None:
-                return 0
-            if pivot != j:
-                m[j], m[pivot] = m[pivot], m[j]
-                det = -det
-            det *= m[j][j]
-            inv = Fraction(1, 1) / m[j][j]
-            for i in range(j + 1, d):
-                if m[i][j] == 0:
-                    continue
-                factor = m[i][j] * inv
-                for k in range(j, d):
-                    m[i][k] -= factor * m[j][k]
-        return norm(det)
+        _, pivots, det = _eliminate(self.rows())
+        return det if len(pivots) == self.dimension else 0
 
     def is_invertible(self) -> bool:
         return self.determinant() != 0
 
     def inverse(self) -> "LinearMap":
+        """Reduces [M | I]; M is invertible iff every pivot lies in M, and
+        then the right-hand block is M^-1."""
         d = self.dimension
-        m = [list(r) + [1 if i == j else 0 for j in range(d)]
-             for i, r in enumerate(self.rows())]
-        for j in range(d):
-            pivot = next((i for i in range(j, d) if m[i][j] != 0), None)
-            if pivot is None:
-                raise ValueError("singular map has no inverse")
-            m[j], m[pivot] = m[pivot], m[j]
-            pv = Fraction(1, 1) / m[j][j]
-            m[j] = [e * pv for e in m[j]]
-            for i in range(d):
-                if i != j and m[i][j] != 0:
-                    f = m[i][j]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[j])]
-        return LinearMap.from_rows([row[d:] for row in m])
+        red, pivots, _ = _eliminate(
+            [r + basis_vector(d, i) for i, r in enumerate(self.rows())])
+        if pivots != list(range(d)):
+            raise ValueError("singular map has no inverse")
+        return LinearMap.from_rows([row[d:] for row in red])
 
 
 def maps_commute(a: LinearMap, b: LinearMap) -> bool:
@@ -214,19 +190,28 @@ def maps_commute(a: LinearMap, b: LinearMap) -> bool:
     return (a @ b).cols == (b @ a).cols
 
 
-def rref(rows) -> tuple[list, list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
+def _eliminate(rows) -> tuple[list, list[int], Scalar]:
+    """Gauss-Jordan elimination, the one pivot loop of this module.
+
+    Returns the nonzero rows of the reduced row echelon form, the pivot
+    columns, and the product of the pivots times the sign of the row swaps.
+    Swaps negate the determinant, scaling a row by 1/pivot divides it by the
+    pivot, and adding multiples of rows keeps it; so for a square matrix of
+    full rank, whose reduced form is I, that product is the determinant.
+    """
     m = [[norm(e) for e in r] for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
+    ncols = len(m[0]) if m else 0
     pivots = []
+    det = 1
     r = 0
     for c in range(ncols):
         pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            det = -det
+        det *= m[r][c]
         pv = Fraction(1, 1) / m[r][c]
         m[r] = [norm(e * pv) for e in m[r]]
         for i in range(len(m)):
@@ -237,7 +222,12 @@ def rref(rows) -> tuple[list, list[int]]:
         r += 1
         if r == len(m):
             break
-    return m[:r], pivots
+    return m[:r], pivots, norm(det)
+
+
+def rref(rows) -> tuple[list, list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    return _eliminate(rows)[:2]
 
 
 def nullspace(rows, ncols: int) -> list[Vector]:

@@ -20,8 +20,8 @@ from functools import lru_cache
 
 from .axioms import check_associative
 from .linalg import LinearMap, apply_cols, maps_commute, support, vector
-from .reports import (ArgumentError, CheckReport, InternalConsistencyError,
-                      PreconditionError, first_failure, passing)
+from .reports import (ArgumentError, CheckReport, PreconditionError, agree,
+                      first_failure, passing)
 from .scalars import Scalar, norm
 from .tensor import StructureTensor, basis_tuples
 
@@ -173,12 +173,13 @@ def check_duality(t: StructureTensor, p: LinearMap, lam) -> CheckReport:
         raise PreconditionError("duality check requires an invertible map")
     rb = check_rota_baxter(t, p, lam)
     der = check_derivation(t, p.inverse(), lam)
-    if rb.passed != der.passed:
-        raise InternalConsistencyError(
-            "Rota-Baxter verdict and derivation-of-inverse verdict disagree: "
-            f"rb={rb.verdict} ({rb.counterexample}), "
-            f"derivation={der.verdict} ({der.counterexample})")
+    agree(rb, der, "Rota-Baxter/derivation-of-inverse duality verdicts")
     return passing("rb-derivation-duality", rb.checked_count + der.checked_count)
+
+
+# every operator check by its kind in files and on the command line
+OPERATOR_CHECKS = {"rb": check_rota_baxter, "derivation": check_derivation,
+                   "duality": check_duality}
 
 
 def nary_from_associative(t: StructureTensor, n: int) -> StructureTensor:

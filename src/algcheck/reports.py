@@ -1,4 +1,17 @@
-"""Check verdicts, counterexamples and error types."""
+"""Check verdicts, counterexamples and error types, and the gates that
+turn a verdict into an error.
+
+The constructions and inheritance theorems hold under hypotheses that are
+checked, never trusted, and some of their conclusions are unconditional
+and so re-verified.  Three gates carry that policy:
+
+* :func:`require`, a hypothesis: a failing report raises
+  :class:`PreconditionError` (bad input);
+* :func:`conclude`, an unconditional conclusion: a failing report raises
+  :class:`InternalConsistencyError` (a bug here);
+* :func:`agree`, two verdicts a theorem makes equivalent: differing
+  verdicts raise :class:`InternalConsistencyError`.
+"""
 
 from __future__ import annotations
 
@@ -85,3 +98,33 @@ def first_failure(name: str, checked: int, tuples, sides) -> CheckReport:
         if lhs != rhs:
             return failing(name, checked, idx, lhs, rhs)
     return passing(name, checked)
+
+
+def require(report: CheckReport, what: str) -> None:
+    """The hypothesis ``what`` holds, or :class:`PreconditionError` names
+    its first failing basis tuple."""
+    if not report.passed:
+        raise PreconditionError(
+            f"{what} fails at basis tuple {report.counterexample.indices}")
+
+
+def conclude(report: CheckReport, what: str) -> CheckReport:
+    """The unconditional conclusion ``what`` holds, or
+    :class:`InternalConsistencyError` names its first failing basis tuple.
+    Returns ``report``."""
+    if not report.passed:
+        raise InternalConsistencyError(
+            f"{what} fails at basis tuple {report.counterexample.indices}, "
+            "though the theorem makes it unconditional")
+    return report
+
+
+def agree(first: CheckReport, second: CheckReport, what: str) -> CheckReport:
+    """The two verdicts of ``what``, which a theorem makes equivalent, are
+    equal, or :class:`InternalConsistencyError` names both.  Returns
+    ``first``."""
+    if first.passed != second.passed:
+        raise InternalConsistencyError(
+            f"{what} disagree: {first.identity_name} {first.verdict}, "
+            f"{second.identity_name} {second.verdict}")
+    return first

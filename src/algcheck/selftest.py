@@ -18,9 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import files
 from .catalog import catalog_names, get as catalog_get
-from .axioms import (check_associative, check_commutative, check_lie,
-                     check_lts, check_n_jacobi, check_prelie,
-                     check_skew_symmetric)
+from .axioms import AXIOM_CHECKS, CLAIM_AXIOMS
 from .constructions import (cor33_condition, det_rb_expansion_check,
                             derived_prelie, f_bracket, fD_bracket,
                             prelie_from_comm_assoc, thm32_condition,
@@ -31,25 +29,9 @@ from .inheritance import (check_derivation_transfer, check_rb_lts_transfer,
                           derived_lts_bracket, derived_nbracket, lts_from_lie,
                           naive_bracket)
 from .linalg import LinearMap, maps_commute
-from .operators import (check_derivation, check_duality, check_rota_baxter,
-                        nary_from_associative)
+from .operators import (OPERATOR_CHECKS, check_derivation, check_duality,
+                        check_rota_baxter, nary_from_associative)
 from .search import SearchSpec, search
-
-_AXIOM_CHECKS = {
-    "3lie": lambda t: [("skew", check_skew_symmetric(t)),
-                       ("jacobi", check_n_jacobi(t))],
-    "assoc": lambda t: [("assoc", check_associative(t))],
-    "comm": lambda t: [("comm", check_commutative(t))],
-    "lie": lambda t: [("lie", check_lie(t))],
-    "prelie": lambda t: [("prelie", check_prelie(t))],
-    "lts": lambda t: [("lts", check_lts(t))],
-}
-
-_OP_CHECKS = {
-    "rb": check_rota_baxter,
-    "derivation": check_derivation,
-    "duality": check_duality,
-}
 
 
 def _claims_task(name):
@@ -58,11 +40,12 @@ def _claims_task(name):
     for pname, claimed in sorted(alg.claims.items()):
         t = alg.products[pname]
         for claim in claimed:
-            for label, rep in _AXIOM_CHECKS[claim](t):
-                out.append((f"{name}.{pname}:{label}", rep.passed))
+            for axiom in CLAIM_AXIOMS[claim]:
+                out.append((f"{name}.{pname}:{axiom}",
+                            AXIOM_CHECKS[axiom](t).passed))
     for oc in alg.operator_claims:
-        rep = _OP_CHECKS[oc.kind](alg.products[oc.product],
-                                  alg.maps[oc.map], oc.weight)
+        rep = OPERATOR_CHECKS[oc.kind](alg.products[oc.product],
+                                       alg.maps[oc.map], oc.weight)
         out.append((f"{name}.{oc.product}:{oc.kind}({oc.map},w={oc.weight})",
                     rep.passed))
     return out
