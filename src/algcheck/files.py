@@ -43,7 +43,8 @@ def _expect(obj, key, typ, location):
     if not isinstance(obj, dict) or key not in obj:
         raise FileFormatError(location, f"missing field {key!r}")
     value = obj[key]
-    if typ is not None and not isinstance(value, typ):
+    # exact type: JSON true and false load as bool, a subclass of int
+    if type(value) is not typ:
         raise FileFormatError(f"{location}.{key}", f"expected {typ.__name__}")
     return value
 
@@ -59,7 +60,7 @@ def _parse_product(name, obj, dim):
     for i, ent in enumerate(raw_entries):
         eloc = f"{loc}.entries[{i}]"
         key = _expect(ent, "key", list, eloc)
-        if len(key) != arity or not all(isinstance(k, int) for k in key):
+        if len(key) != arity or not all(type(k) is int for k in key):
             raise FileFormatError(f"{eloc}.key", f"expected {arity} integer indices")
         if any(not 0 <= k < dim for k in key):
             raise FileFormatError(f"{eloc}.key", "index out of range")

@@ -30,9 +30,9 @@ from .algebra import Algebra
 from .constructions import _fd_rows
 from .linalg import LinearForm, LinearMap, nullspace, support
 from .operators import _rb_sides, check_rota_baxter
-from .reports import ArgumentError, CheckReport, InternalConsistencyError, passing
+from .reports import ArgumentError, CheckReport, conclude, first_failure
 from .scalars import norm
-from .tensor import StructureTensor, basis_tuples, stored_keys
+from .tensor import StructureTensor, basis_tuples
 
 TARGETS = ("rb_operator", "annihilating_form", "fD_form")
 STRATEGIES = ("solve", "grid", "random")
@@ -92,17 +92,12 @@ def _product(alg: Algebra, spec: SearchSpec) -> StructureTensor:
     return alg.products[spec.product]
 
 
-def _verify_form_on_rows(rows, form, name) -> CheckReport:
-    for i, row in enumerate(rows):
-        if form(row) != 0:
-            raise InternalConsistencyError(
-                f"solved {name} fails on constraint row {i}")
-    return passing(name, len(rows))
-
-
-def _annihilating_rows(t: StructureTensor):
-    return [t.basis_product(key) for key in stored_keys(
-        t.arity, t.dimension, t.symmetry)]
+def _form_certificate(form: LinearForm, rows: dict, name: str) -> CheckReport:
+    """The report that ``form`` vanishes on every constraint row, keyed by
+    its basis tuple; a row it misses is a bug in the solve."""
+    return conclude(first_failure(name, len(rows), rows,
+                                  lambda key: (form(rows[key]), 0)),
+                    f"solved {name}")
 
 
 def search(alg: Algebra, spec: SearchSpec) -> list:
@@ -113,23 +108,18 @@ def search(alg: Algebra, spec: SearchSpec) -> list:
     candidate matrices and keeps those passing the exact Rota-Baxter check.
     """
     t = _product(alg, spec)
+    if spec.target == "rb_operator":
+        return _search_rb(t, spec)
     if spec.target == "annihilating_form":
-        rows = _annihilating_rows(t)
-        basis = nullspace(rows, t.dimension)
-        return [SearchResult(LinearForm(v),
-                             _verify_form_on_rows(rows, LinearForm(v),
-                                                  "annihilating-form"))
-                for v in basis]
-    if spec.target == "fD_form":
+        name, rows = "annihilating-form", {
+            key: t.basis_product(key)
+            for key in basis_tuples(t.arity, t.dimension, t.symmetry)}
+    else:
         if spec.map not in alg.maps:
             raise ArgumentError(f"algebra has no map named {spec.map!r}")
-        rows = [row for _, row in _fd_rows(t, alg.maps[spec.map])]
-        basis = nullspace(rows, t.dimension)
-        return [SearchResult(LinearForm(v),
-                             _verify_form_on_rows(rows, LinearForm(v),
-                                                  "fD-form-condition"))
-                for v in basis]
-    return _search_rb(t, spec)
+        name, rows = "fD-form-condition", dict(_fd_rows(t, alg.maps[spec.map]))
+    return [SearchResult(form, _form_certificate(form, rows, name))
+            for form in map(LinearForm, nullspace(list(rows.values()), t.dimension))]
 
 
 def _search_rb(t: StructureTensor, spec: SearchSpec) -> list:

@@ -103,6 +103,22 @@ def test_index_out_of_range_rejected():
     assert "out of range" in str(err)
 
 
+# JSON true and false load as bool, which Python counts as an int
+@pytest.mark.parametrize("edit, location, message", [
+    (lambda doc: doc.update(dimension=True), "dimension", "expected int"),
+    (lambda doc: doc["products"]["bracket"].update(arity=True),
+     "products.bracket.arity", "expected int"),
+    (lambda doc: doc["products"]["bracket"]["entries"][0].update(
+        key=[False, True, 2]), "products.bracket.entries[0].key",
+     "integer indices"),
+], ids=["dimension", "arity", "key"])
+def test_boolean_rejected_where_an_integer_is_expected(edit, location, message):
+    doc = canonical_doc()
+    edit(doc)
+    err = expect_error(doc, location)
+    assert message in str(err)
+
+
 def test_duplicate_entry_key_rejected():
     doc = canonical_doc()
     ent = doc["products"]["bracket"]["entries"]

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package or of its tests imports is used in
+that module."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ import algcheck
 
 MODULES = sorted(p for p in Path(algcheck.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -33,6 +35,11 @@ def unused_imports(source: str) -> list:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.name)
+def test_test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
 

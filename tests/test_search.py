@@ -12,9 +12,9 @@ from algcheck.catalog import get
 from algcheck.linalg import (LinearForm, LinearMap, basis_vector, nullspace,
                              vec_add, vec_sub)
 from algcheck.operators import check_rota_baxter
-from algcheck.reports import ArgumentError
+from algcheck.reports import ArgumentError, InternalConsistencyError
 from algcheck.scalars import norm
-from algcheck.search import SearchSpec, search
+from algcheck.search import SearchSpec, _form_certificate, search
 from algcheck.tensor import SYMMETRIES, StructureTensor, stored_keys
 
 # the package exports the function ``search`` over its module's name
@@ -101,6 +101,16 @@ def test_fd_form_qt4():
     assert [r.found.row for r in results] == [(1, 0, 0, 0)]
     assert results[0].found.row == alg.forms["f"].row
     assert results[0].certificate.passed
+
+
+def test_form_certificate_names_the_first_row_a_form_misses():
+    rows = {(0, 1): (0, 0, 1), (0, 2): (1, 0, 0), (1, 2): (0, 0, 0)}
+    rep = _form_certificate(LinearForm((0, 1, 0)), rows, "annihilating-form")
+    assert (rep.identity_name, rep.passed, rep.checked_count) == (
+        "annihilating-form", True, 3)
+    with pytest.raises(InternalConsistencyError,
+                       match=r"solved annihilating-form fails at basis tuple \(0, 2\)"):
+        _form_certificate(LinearForm((1, 1, 0)), rows, "annihilating-form")
 
 
 def test_fd_form_requires_known_map():
