@@ -10,7 +10,8 @@ map's sparse columns and the subset weights, set up once per map.  Both
 checkers and the derived and naive brackets (inheritance module) use it, so
 they cannot drift apart.  The two sides of the Rota-Baxter identity at a
 basis tuple are written once, in ``_rb_sides``, for
-:func:`check_rota_baxter` and for the pruned grid search (search module).
+:func:`check_rota_baxter`, the pruned grid search (search module) and the
+determinant expansion's table on the cube (constructions module).
 """
 
 from __future__ import annotations
