@@ -12,17 +12,47 @@ they cannot drift apart.  The two sides of the Rota-Baxter identity at a
 basis tuple are written once, in ``_rb_sides``, for
 :func:`check_rota_baxter`, the pruned grid search (search module) and the
 determinant expansion's table on the cube (constructions module).
+
+Both checks report the first failure of the per-tuple scan over
+``tensor.basis_tuples``, but scan only a lex prefix of ``_PREFIX`` tuples
+one by one, where most failures lie, and decide the rest from the sparse
+difference of the two sides (``_decide``).  A term of either side takes a
+source key j of ``t.table`` and pulls some slots s back through the map M:
+it lands on the tuple i with i_s = j_s at the other slots and i_s with
+M[j_s, i_s] != 0 at those, times those entries.  Rota-Baxter: the left side
+pulls every slot; the right side, for each nonempty subset I, pulls the
+slots outside I, weighs the term by lambda**(|I|-1) and pushes t[j] through
+M.  Derivation: the left side pushes t[j] through M and pulls no slot; the
+right side pulls exactly I, with the same weight.  The report is the
+per-tuple one because:
+
+1. *The difference at a tuple is exactly lhs - rhs there.*  The terms
+   landing on a tuple, with the sign of their side, are the summands of
+   lhs and rhs, and scalars are exact rationals, so they add up to
+   lhs - rhs, which is zero iff the two sides are equal.
+2. *It is kept at the scanned tuples only.*  A term is dropped as soon as
+   its partial tuple leaves the set ``basis_tuples`` yields for the
+   symmetry of the product (sorted for ``symmetric``, strictly ascending
+   for ``skew``, all for ``none``), so it is kept where the scan looks.
+3. *Its least nonzero tuple is the scan's first failure.*  The prefix is
+   the scan's first tuples in lex order and holds no failure.  That tuple
+   alone is handed to ``first_failure`` with the per-tuple sides, so the
+   report is the per-tuple report by construction; were those sides equal
+   there, ``agree`` would raise ``InternalConsistencyError``.
+
+With no nonzero difference a check passes with ``checked_count`` d**n.
 """
 
 from __future__ import annotations
 
 import enum
 from functools import lru_cache
+from itertools import islice
 
 from .axioms import check_associative
 from .linalg import LinearMap, apply_cols, maps_commute, support, vector
 from .reports import (ArgumentError, CheckReport, PreconditionError, agree,
-                      first_failure, passing)
+                      failing, first_failure, passing)
 from .scalars import Scalar, norm
 from .tensor import StructureTensor, basis_tuples
 
@@ -30,6 +60,10 @@ __all__ = [
     "SubsetMode", "subset_expansion", "check_rota_baxter", "check_derivation",
     "check_duality", "nary_from_associative", "maps_commute",
 ]
+
+# the basis tuples a Rota-Baxter or derivation check scans one by one before
+# it decides the rest from the sparse difference of the two sides
+_PREFIX = 16
 
 
 class SubsetMode(enum.Enum):
@@ -138,12 +172,16 @@ def check_rota_baxter(t: StructureTensor, p: LinearMap, lam) -> CheckReport:
     indices fails iff its ascending form fails.  Either way the first
     failure of the full scan is the least of its permutations, so it is
     scanned, and it is reported with the same two sides.
+
+    Past the first ``_PREFIX`` tuples the scan is decided from the sparse
+    difference of the two sides (module docstring): at a tuple it is exactly
+    lhs - rhs, it is kept at the scanned tuples only, and since the prefix
+    holds no failure its least nonzero tuple is the first failure, reported
+    with the same two sides.
     """
     value, sides = _rb_sides(t, p.sparse_cols, lam)
-    return first_failure(
-        "rota-baxter", t.dimension ** t.arity,
-        basis_tuples(t.arity, t.dimension, t.symmetry),
-        lambda idx: sides(idx, value(idx)))
+    return _decide("rota-baxter", t, p, lam, True,
+                   lambda idx: sides(idx, value(idx)))
 
 
 def check_derivation(t: StructureTensor, dmap: LinearMap, lam) -> CheckReport:
@@ -154,12 +192,93 @@ def check_derivation(t: StructureTensor, dmap: LinearMap, lam) -> CheckReport:
     :func:`check_rota_baxter`, by the same argument: on a symmetric product
     both sides are invariant under permuting the arguments, so only sorted
     tuples are scanned, and on a skew one only strictly ascending tuples.
+    Past the same prefix it is decided the same way: the sparse difference
+    of d of the product and the expansion is exactly lhs - rhs at a tuple,
+    it is kept at the scanned tuples only, and since the prefix holds no
+    failure its least nonzero tuple is the first failure, reported with the
+    same two sides.
     """
     value = _basis_expansion(t, dmap.sparse_cols, lam, SubsetMode.DIFF_CHECK)
-    return first_failure(
-        "derivation", t.dimension ** t.arity,
-        basis_tuples(t.arity, t.dimension, t.symmetry),
-        lambda idx: (dmap(t.basis_product(idx)), value(idx)))
+    return _decide("derivation", t, dmap, lam, False,
+                   lambda idx: (dmap(t.basis_product(idx)), value(idx)))
+
+
+def _decide(name, t: StructureTensor, m: LinearMap, lam, rb: bool,
+            sides) -> CheckReport:
+    """The report of ``first_failure`` over ``basis_tuples`` with the
+    per-tuple ``sides`` of the Rota-Baxter (``rb``) or derivation identity
+    of ``m``, past the prefix from the least tuple where the sides differ."""
+    count = t.dimension ** t.arity
+    tuples = basis_tuples(t.arity, t.dimension, t.symmetry)
+    rep = first_failure(name, count, islice(tuples, _PREFIX), sides)
+    if not rep.passed or next(tuples, None) is None:
+        return rep
+    least = _least_difference(t, m, lam, rb)
+    if least is None:
+        return rep
+    # exact arithmetic: a nonzero difference is a failure of the sides
+    key, diff = least
+    return agree(first_failure(name, count, (key,), sides),
+                 failing(f"{name} difference", count, key, diff,
+                         (0,) * t.dimension),
+                 f"per-tuple and sparse-difference verdicts at {key}")
+
+
+def _least_difference(t: StructureTensor, m: LinearMap, lam, rb: bool):
+    """``(key, lhs - rhs)`` at the least scanned tuple where the identity of
+    the map M = ``m`` has a nonzero difference, or ``None``; the terms are
+    those of the module docstring.
+
+    All terms landing on a tuple share its first index, so they are
+    expanded one first index at a time, in increasing order, and the least
+    nonzero tuple of the first index that has one is the least overall.
+    A term pulling slot 0 onto the first index i starts at a source whose
+    first index j has M[j, i] != 0: column i of M.
+    """
+    n, d = t.arity, t.dimension
+    cols, rows = m.sparse_cols, [support(row) for row in m.rows()]
+    full = (1 << n) - 1
+    weights = _subset_weights(norm(lam), n)
+    # (pulled slots, coefficient, pushed through M) of each term of lhs - rhs
+    if rb:
+        terms = [(full, 1, False)] + [(full ^ mask, -w, True)
+                                      for mask, w in weights]
+    else:
+        terms = [(0, 1, True)] + [(mask, -w, False) for mask, w in weights]
+    by_first = [[] for _ in range(d)]  # source keys by first index
+    for key, pairs in t.table.items():
+        pushed = [0] * d
+        for k, c in pairs:
+            for i, a in cols[k]:
+                pushed[i] += c * a
+        by_first[key[0]].append((key, pairs, support(pushed)))
+    # a scanned tuple rises by at least gap at each slot
+    gap = {"none": -d, "symmetric": 0, "skew": 1}[t.symmetry]
+    for first in range(d):
+        diff = {}
+        for pulled, coeff, push in terms:
+            for j, b in cols[first] if pulled & 1 else ((first, 1),):
+                for key, pairs, pushed in by_first[j]:
+                    out = pushed if push else pairs
+                    if not out:
+                        continue
+                    tips = [((first,), coeff * b)]
+                    for s in range(1, n):
+                        choices = (rows[key[s]] if pulled >> s & 1
+                                   else ((key[s], 1),))
+                        tips = [(tip + (i,), c * a) for tip, c in tips
+                                for i, a in choices if i >= tip[-1] + gap]
+                    for tip, c in tips:
+                        acc = diff.get(tip)
+                        if acc is None:
+                            acc = diff[tip] = [0] * d
+                        for k, a in out:
+                            acc[k] += c * a
+        nonzero = [tip for tip, acc in diff.items() if any(acc)]
+        if nonzero:
+            key = min(nonzero)
+            return key, tuple(diff[key])
+    return None
 
 
 def check_duality(t: StructureTensor, p: LinearMap, lam) -> CheckReport:

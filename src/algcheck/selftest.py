@@ -215,7 +215,8 @@ def run_selftest(workers=None):
         workers = int(os.environ.get("ALGCHECK_WORKERS", "1"))
     jobs = tasks()
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a forking pool starts all its workers at once: no more than jobs
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             batches = list(pool.map(_run, jobs))
     else:
         batches = [_run(job) for job in jobs]

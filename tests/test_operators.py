@@ -1,11 +1,12 @@
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, count, product
 
 import pytest
 from hypothesis import Phase, event, find, given, settings
 from hypothesis import strategies as st
 
-from algcheck.axioms import check_associative
+from algcheck import operators
+from algcheck.axioms import check_associative, check_commutative
 from algcheck.catalog import catalog_names, get, running_sum_map
 from algcheck.inheritance import naive_bracket
 from algcheck.linalg import (LinearMap, basis_vector, support, vec_add,
@@ -13,8 +14,9 @@ from algcheck.linalg import (LinearMap, basis_vector, support, vec_add,
 from algcheck.operators import (SubsetMode, check_derivation, check_duality,
                                 check_rota_baxter, nary_from_associative,
                                 subset_expansion)
-from algcheck.reports import ArgumentError, PreconditionError, failing, passing
-from algcheck.tensor import SYMMETRIES, StructureTensor, stored_keys
+from algcheck.reports import (ArgumentError, InternalConsistencyError,
+                              PreconditionError, failing, passing)
+from algcheck.tensor import SYMMETRIES, StructureTensor, basis_tuples, stored_keys
 
 # ---------------------------------------------------------------- oracles
 
@@ -475,3 +477,151 @@ def test_single_replacement_sum_is_the_weight0_subset_expansion(instance):
     for key in product(range(d), repeat=t.arity):
         assert naive.basis_product(key) == oracle_single_replacement_sum(
             t, m, [basis_vector(d, i) for i in key], SubsetMode.DIFF_CHECK)
+
+
+# ------------------------------------ the sparse difference past the prefix
+# Past their first operators._PREFIX tuples the checks decide the scan from
+# the sparse difference of the two sides.  The dim-3 draws above scan at most
+# 27 tuples, nearly all inside the prefix; these scan more than the prefix
+# and are sparse enough to pass, or to fail late.  Each draw is also checked
+# with no prefix at all, so every draw reaches the difference.
+
+
+def _scanned(t):
+    return list(basis_tuples(t.arity, t.dimension, t.symmetry))
+
+
+def _dense(entries, d):
+    """key -> dense vector, from (key, coordinate, value) entries; a later
+    entry overwrites an earlier one at the same place."""
+    out = {}
+    for key, k, a in entries:
+        out.setdefault(key, [0] * d)[k] = a
+    return {key: tuple(v) for key, v in out.items()}
+
+
+@st.composite
+def past_prefix_instances(draw):
+    arity = draw(st.sampled_from([2, 3]))
+    symmetry = draw(st.sampled_from(SYMMETRIES))
+    # the least dimension whose scan is longer than the prefix, or one more
+    least = next(d for d in count(1)
+                 if len(stored_keys(arity, d, symmetry)) > operators._PREFIX)
+    d = least + draw(st.integers(0, 1))
+    keys = stored_keys(arity, d, symmetry)
+    # a few constants, often on late keys, so that many checks fail late
+    key = st.sampled_from(keys) | st.sampled_from(keys[len(keys) // 2:])
+    index = st.integers(0, d - 1)
+    t = StructureTensor(arity, d, symmetry, _dense(draw(st.lists(
+        st.tuples(key, index, _scalars), min_size=1, max_size=4)), d))
+    dense_map = st.lists(st.lists(_scalars, min_size=d, max_size=d),
+                         min_size=d, max_size=d).map(LinearMap.from_cols)
+    sparse_map = st.lists(st.tuples(index, index, _scalars), max_size=d).map(
+        lambda entries: LinearMap.from_cols(_dense(entries, d).get(j, (0,) * d)
+                                            for j in range(d)))
+    lam = draw(st.sampled_from([0, 1, Fraction(-1, 2)]))
+    kind = draw(st.sampled_from(["sparse", "sparse", "dense", "special"]))
+    m = draw({"sparse": sparse_map, "dense": dense_map,
+              # -lam Id is Rota-Baxter and its inverse a derivation: every
+              # subset weight counts
+              "special": st.sampled_from([
+                  LinearMap.zero(d), LinearMap.identity(d),
+                  LinearMap.scalar(d, -1), LinearMap.scalar(d, -lam),
+                  LinearMap.scalar(d, Fraction(-1, lam) if lam else 0)])}[kind])
+    return t, m, lam
+
+
+def _where(rep, t):
+    if rep.passed:
+        return "pass"
+    position = _scanned(t).index(rep.counterexample.indices)
+    return ("fail in the prefix" if position < operators._PREFIX
+            else "fail past the prefix")
+
+
+@settings(max_examples=150, deadline=None)
+@given(past_prefix_instances())
+def test_operator_checks_past_the_prefix_match_the_per_tuple_form(instance):
+    t = instance[0]
+    assert len(_scanned(t)) > operators._PREFIX
+    for check, oracle in _OPERATOR_ORACLES:
+        want = oracle(*instance)
+        event(f"{t.symmetry}, arity {t.arity}: {_where(want, t)}")
+        got = check(*instance)
+        assert got == want and repr(got) == repr(want)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "_PREFIX", 0)
+            got = check(*instance)
+        assert got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("check, oracle", _OPERATOR_ORACLES)
+def test_draws_fail_past_the_prefix(check, oracle):
+    # the case the difference must get right: no failure in the prefix, and
+    # a first failure after it
+    instance = find(past_prefix_instances(),
+                    lambda instance: _where(oracle(*instance), instance[0])
+                    == "fail past the prefix",
+                    settings=settings(database=None, derandomize=True,
+                                      max_examples=1000,
+                                      phases=[Phase.generate]))
+    got, want = check(*instance), oracle(*instance)
+    assert got == want and repr(got) == repr(want)
+
+
+def test_checks_past_the_prefix_scan_no_more_tuples(monkeypatch):
+    # the passing derivation checks on the dim-20 cube scan 8,000 tuples;
+    # only the prefix and no other tuple is scanned one by one
+    alg = get("qt3_deg4")
+    cube = nary_from_associative(alg.products["prod"], 3)
+    scanned = []
+    real = operators.first_failure
+
+    def counting(name, checked, tuples, sides):
+        tuples = list(tuples)
+        scanned.extend(tuples)
+        return real(name, checked, tuples, sides)
+
+    monkeypatch.setattr(operators, "first_failure", counting)
+    for name in ("D1", "D2", "D3"):
+        scanned.clear()
+        rep = check_derivation(cube, alg.maps[name], 0)
+        assert rep.passed and rep.checked_count == 8000
+        assert scanned == _scanned(cube)[:operators._PREFIX]
+
+
+def test_a_difference_the_sides_do_not_confirm_is_an_internal_error(monkeypatch):
+    alg = get("qt3_deg4")
+    cube = nary_from_associative(alg.products["prod"], 3)
+    key = _scanned(cube)[operators._PREFIX]
+    monkeypatch.setattr(operators, "_least_difference",
+                        lambda *args: (key, (1,) + (0,) * 19))
+    with pytest.raises(InternalConsistencyError, match="sparse-difference"):
+        check_derivation(cube, alg.maps["D1"], 0)
+
+
+def test_catalog_operators_pass_on_cubes_past_the_prefix():
+    # the selftest's ternary-power checks on the small catalog algebras: a
+    # Rota-Baxter operator, and its complement -lam Id - P, on a commutative
+    # associative algebra is one on its cube, and a derivation is one too;
+    # their sides are nonzero on tuples past the prefix
+    seen = 0
+    for name in catalog_names():
+        alg = get(name)
+        for oc in alg.operator_claims:
+            t, m = alg.products[oc.product], alg.maps[oc.map]
+            if (alg.dimension > 6 or t.arity != 2
+                    or not check_associative(t).passed
+                    or not check_commutative(t).passed):
+                continue
+            cube = nary_from_associative(t, 3)
+            assert len(_scanned(cube)) > operators._PREFIX
+            maps = [m]
+            if oc.kind == "rb":
+                maps.append(LinearMap.scalar(alg.dimension, -oc.weight) - m)
+            check, oracle = _OPERATOR_ORACLES[oc.kind == "derivation"]
+            for op in maps:
+                got, want = check(cube, op, oc.weight), oracle(cube, op, oc.weight)
+                assert want.passed and got == want and repr(got) == repr(want)
+                seen += 1
+    assert seen == 8

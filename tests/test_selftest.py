@@ -1,3 +1,4 @@
+from algcheck import selftest
 from algcheck.selftest import run_selftest
 
 
@@ -8,3 +9,30 @@ def test_process_pool_gives_the_single_worker_lines(monkeypatch):
     assert run_selftest(workers=2) == serial
     monkeypatch.setenv("ALGCHECK_WORKERS", "2")
     assert run_selftest() == serial
+
+
+def test_pool_has_at_most_one_worker_per_job(monkeypatch):
+    # a stand-in executor that maps serially and starts no process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    jobs = [(selftest._roundtrip_task, name) for name in ("q3", "a4", "q4")]
+    monkeypatch.setattr(selftest, "tasks", lambda: jobs)
+    monkeypatch.setattr(selftest, "ProcessPoolExecutor", SerialPool)
+    serial = run_selftest(workers=1)
+    assert sizes == []
+    assert run_selftest(workers=5000) == serial
+    assert run_selftest(workers=2) == serial
+    assert sizes == [3, 2]
