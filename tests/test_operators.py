@@ -625,3 +625,18 @@ def test_catalog_operators_pass_on_cubes_past_the_prefix():
                 assert want.passed and got == want and repr(got) == repr(want)
                 seen += 1
     assert seen == 8
+
+
+@pytest.mark.parametrize("lam", [1, Fraction(-1, 2)])
+def test_scalar_operators_pass_past_the_prefix(lam):
+    # -lam Id is a weight-lam Rota-Baxter operator on every product, and its
+    # inverse -Id/lam a weight-lam derivation: every subset weight counts
+    qt2 = get("qt2_deg3").products
+    for t in (nary_from_associative(get("q4").products["prod"], 3),
+              qt2["prod"], qt2["det2"]):
+        assert len(_scanned(t)) > operators._PREFIX
+        scalars = (-lam, Fraction(-1) / lam)
+        for (check, oracle), c in zip(_OPERATOR_ORACLES, scalars):
+            m = LinearMap.scalar(t.dimension, c)
+            got, want = check(t, m, lam), oracle(t, m, lam)
+            assert want.passed and got == want and repr(got) == repr(want)
