@@ -18,17 +18,55 @@ scanned, by the same argument without the repeated-index case.  Either
 way the first reduced failure is still the lexicographically least failing
 basis tuple.  ``checked_count`` always reports the full logical tuple count.
 
+The n-Jacobi, associativity and pre-Lie identities are quadratic in the
+product: each side is a signed sum of one-level compositions
+t(..., t(...), ...) of basis vectors.  Their scans visit blocks of
+``basis_tuples`` concatenated: ascending xs then ascending ys for
+n-Jacobi, i < j then any k for pre-Lie, every triple for associativity.
+They scan the first ``reports._PREFIX`` tuples one by one and decide the
+rest from the sparse difference of the two sides
+(:func:`reports.decide`), which ``_least_composed`` builds from ``t.table``
+alone.  A term of a composition takes an inner source key J of the table,
+a nonzero coordinate c at v of its product, and an outer source key K with
+v in the slot of the inner product; it lands on the tuple whose positions
+J and K, less that slot, name, with the sign of the composition times c
+times the product of K.  The report is the per-tuple one because:
+
+1. *The difference at a tuple is exactly lhs - rhs there.*  The terms
+   landing on a tuple, with the signs of their compositions, are the
+   summands of lhs and rhs as the per-tuple sides expand them over the same
+   table.  Each is a product of two constants, so with every constant made
+   an integer by their common denominator q the terms add up exactly to
+   q**2 (lhs - rhs), which divided by q**2 is lhs - rhs, zero iff the two
+   sides are equal.
+2. *It is kept at the scanned tuples only.*  A term is dropped unless its
+   tuple rises inside every block as the scan's tuples do (strictly in a
+   ``skew`` block, weakly in a ``symmetric`` one, freely in ``none``), so
+   it is kept where the scan looks.
+3. *Its least nonzero tuple is the scan's first failure.*  The prefix is
+   the scan's first tuples in lex order and holds no failure.  That tuple
+   alone is handed to ``first_failure`` with the per-tuple sides, so the
+   report is the per-tuple report by construction; were those sides equal
+   there, ``agree`` would raise ``InternalConsistencyError``.
+
 Degenerate dimensions 0 and 1 are legal; checks pass vacuously.
 """
 
 from __future__ import annotations
 
 from functools import wraps
+from math import lcm
+from operator import itemgetter
 
 from .linalg import LinearForm, LinearMap, basis_vector, nullspace, vec_sub
-from .reports import (ArgumentError, CheckReport, failing, first_failure,
-                      passing)
+from .reports import (ArgumentError, CheckReport, decide, failing,
+                      first_failure, passing)
+from .scalars import rational
 from .tensor import StructureTensor, basis_tuples
+
+# the least rise from one scanned position to the next inside a block of
+# each symmetry; a block of symmetry "none" imposes no order
+_RISE = {"none": None, "symmetric": 0, "skew": 1}
 
 
 def _kept(check):
@@ -70,6 +108,117 @@ def _require_skew(t):
             f"(violation at basis tuple {rep.counterexample.indices})")
 
 
+def _block_tuples(d, blocks):
+    """Lazy lex-order iterator over the tuples scanned for ``blocks``: one
+    tuple of ``basis_tuples(k, d, symmetry)`` per block ``(k, symmetry)``,
+    concatenated."""
+    (k, symmetry), rest = blocks[0], blocks[1:]
+    for head in basis_tuples(k, d, symmetry):
+        for tail in _block_tuples(d, rest) if rest else ((),):
+            yield head + tail
+
+
+def _decide_composed(name, t: StructureTensor, blocks, compositions,
+                     sides) -> CheckReport:
+    """The report of ``first_failure`` over the tuples of ``blocks`` with the
+    per-tuple ``sides``, past the prefix from the least tuple where the sum
+    of ``compositions`` is nonzero."""
+    return decide(name, t.dimension ** sum(k for k, _ in blocks),
+                  _block_tuples(t.dimension, blocks), sides,
+                  lambda: _least_composed(t, blocks, compositions))
+
+
+def _steps(names, rises):
+    """``(i, h, r)``: entry i of a key naming the positions ``names`` must
+    exceed entry h by at least r, for the tuple to rise as the scan's do."""
+    at = {p: i for i, p in enumerate(names)}
+    return [(at[p], at[p - 1], r) for p, r in rises.items()
+            if p in at and p - 1 in at]
+
+
+def _rises(values, steps):
+    return all(values[i] >= values[h] + r for i, h, r in steps)
+
+
+def _least_composed(t: StructureTensor, blocks, compositions):
+    """``(key, lhs - rhs)`` at the least tuple of ``blocks`` where the sum
+    of ``compositions`` is nonzero, or ``None``.
+
+    A composition ``(coeff, inner, outer)`` is coeff times the product at
+    the positions ``outer`` of the tuple with the product at the positions
+    ``inner`` in the slot marked ``None``; each position is named once.
+    Its terms are those of the module docstring: an inner key J and an
+    outer key K name the positions of the tuple they land on, the slot
+    aside.  All terms landing on a tuple share its first index, so they are
+    expanded one first index at a time, in increasing order, and the least
+    nonzero tuple of the first index that has one is the least overall.
+    Of J and K, the one that names position 0 is looked up by its first
+    index, the other by v.
+    """
+    d = t.dimension
+    # the constants times their common denominator q, as ints: a term, the
+    # product of two constants, is then q**2 times its value
+    q = lcm(*(c.denominator for prod in t.table.values() for _, c in prod))
+    table = {key: [(k, c.numerator * (q // c.denominator)) for k, c in prod]
+             for key, prod in t.table.items()}
+    rises, length = {}, 0  # position -> least rise from the one before it
+    for k, symmetry in blocks:
+        if _RISE[symmetry] is not None:
+            rises.update(dict.fromkeys(range(length + 1, length + k),
+                                       _RISE[symmetry]))
+        length += k
+    plans = []
+    for coeff, inner, outer in compositions:
+        slot, steps = outer.index(None), _steps(inner, rises)
+        js = [(j, v, coeff * c) for j, prod in table.items()
+              if _rises(j, steps) for v, c in prod]
+        steps = _steps(outer, rises)
+        ks = [(key, key[slot], prod) for key, prod in table.items()
+              if _rises(key, steps)]
+        j_drives = 0 in inner
+        (first_side, names), (other_side, other) = (
+            ((js, inner), (ks, outer)) if j_drives else ((ks, outer), (js, inner)))
+        by_first, by_v = [[] for _ in range(d)], {}
+        for item in first_side:
+            by_first[item[0][names.index(0)]].append(item)
+        for item in other_side:
+            by_v.setdefault(item[1], []).append(item)
+        # the steps between the two keys, checked on each joined pair
+        cut, names = len(names), names + other
+        cross = [(i, h, r) for i, h, r in _steps(names, rises)
+                 if (i < cut) != (h < cut)]
+        plans.append((by_first, by_v, j_drives, cross,
+                      itemgetter(*map(names.index, range(length)))))
+    for first in range(d):
+        diff = {}
+        for plan in plans:
+            for key, w, prod in _landings(plan, first):
+                acc = diff.get(key)
+                if acc is None:
+                    acc = diff[key] = [0] * d
+                for k, a in prod:
+                    acc[k] += w * a
+        nonzero = [key for key, acc in diff.items() if any(acc)]
+        if nonzero:
+            key = min(nonzero)
+            return key, tuple(rational(a, q * q) for a in diff[key])
+    return None
+
+
+def _landings(plan, first):
+    """``(tuple, w, product of K)`` of each term of one composition whose
+    tuple has the first index ``first`` and rises as the scan's do."""
+    by_first, by_v, j_drives, cross, pick = plan
+    for a, v, x in by_first[first]:
+        for b, _, y in by_v.get(v, ()):
+            ab = a + b
+            for i, h, r in cross:
+                if ab[i] < ab[h] + r:
+                    break
+            else:
+                yield (pick(ab), x, y) if j_drives else (pick(ab), y, x)
+
+
 @_kept
 def check_n_jacobi(t: StructureTensor) -> CheckReport:
     """Fundamental identity of an n-Lie bracket, over all basis tuples.
@@ -90,19 +239,20 @@ def check_n_jacobi(t: StructureTensor) -> CheckReport:
     ``skew`` storage by construction of the table, on ``none`` storage
     because :func:`check_skew_symmetric` passed on every adjacent swap.
 
-    A pair (xs, ys) whose products ``t[xs]`` and ``t[(x_i,) + ys]`` are all
-    zero is never scanned: every term contains one of them, so both sides
-    are zero.
+    Both sides are compositions of the bracket with itself:
+    t(t(xs), ys) and the sum over i of t(xs with t(x_i, ys) at slot i).
+    Past the first ``reports._PREFIX`` tuples the scan is decided from
+    their sparse difference (module docstring): at a tuple it is exactly
+    lhs - rhs, it is kept at the scanned tuples only, and since the prefix
+    holds no failure its least nonzero tuple is the first failure, reported
+    with the same two sides.
     """
     n, d = t.arity, t.dimension
     _require_skew(t)
-    table = t.table
-    pairs = table.get
-    # ys -> the x whose t[(x,) + ys] is nonzero
-    hits = {ys: {x for x in range(d) if (x,) + ys in table}
-            for ys in basis_tuples(n - 1, d, "skew")}
-    live = (xs + ys for xs in basis_tuples(n, d, "skew") for ys in hits
-            if xs in table or not hits[ys].isdisjoint(xs))
+    pairs = t.table.get
+    xs, ys = tuple(range(n)), tuple(range(n, 2 * n - 1))
+    compositions = [(1, xs, (None,) + ys)] + [
+        (-1, (i,) + ys, xs[:i] + (None,) + xs[i + 1:]) for i in range(n)]
 
     def sides(idx):
         xs, ys = idx[:n], idx[n:]
@@ -110,7 +260,8 @@ def check_n_jacobi(t: StructureTensor) -> CheckReport:
         return (t.contract((pairs(xs, ()),) + ys),
                 t.contract(*[xs[:i] + (v,) + xs[i + 1:]
                              for i, v in enumerate(inner) if v]))
-    return first_failure(f"{n}-jacobi", d ** (2 * n - 1), live, sides)
+    return _decide_composed(f"{n}-jacobi", t, ((n, "skew"), (n - 1, "skew")),
+                            compositions, sides)
 
 
 def _associator(t, i, j, k):
@@ -120,13 +271,20 @@ def _associator(t, i, j, k):
             t.contract((i, pairs((j, k), ()))))
 
 
+# (e0 e1) e2 - e0 (e1 e2), as compositions of the product with itself, and
+# the pre-Lie difference: that associator less the one at (e1, e0, e2)
+_ASSOCIATOR = ((1, (0, 1), (None, 2)), (-1, (1, 2), (0, None)))
+_PRELIE = _ASSOCIATOR + ((-1, (1, 0), (None, 2)), (1, (0, 2), (1, None)))
+
+
 @_kept
 def check_associative(t: StructureTensor) -> CheckReport:
+    """(xy)z = x(yz) over all basis triples; past the prefix decided from
+    the sparse difference of the two compositions (module docstring)."""
     if t.arity != 2:
         raise ArgumentError("associativity is a binary axiom")
-    return first_failure("associative", t.dimension ** 3,
-                         basis_tuples(3, t.dimension, "none"),
-                         lambda idx: _associator(t, *idx))
+    return _decide_composed("associative", t, ((3, "none"),), _ASSOCIATOR,
+                            lambda idx: _associator(t, *idx))
 
 
 @_kept
@@ -161,13 +319,20 @@ def check_lie(t: StructureTensor) -> CheckReport:
 
 @_kept
 def check_prelie(t: StructureTensor) -> CheckReport:
-    """Left pre-Lie: the associator is symmetric in its first two arguments."""
+    """Left pre-Lie: the associator is symmetric in its first two arguments.
+
+    The associator at (i, j, k) is scanned against the one at (j, i, k) on
+    i < j: the identity is alternating in (i, j).  Its sides are the
+    associators, so past the first ``reports._PREFIX`` tuples the scan is
+    decided from the sparse difference of their four compositions (module
+    docstring): at a tuple it is exactly lhs - rhs, it is kept at the
+    scanned tuples only, and since the prefix holds no failure its least
+    nonzero tuple is the first failure, reported with the same two sides.
+    """
     if t.arity != 2:
         raise ArgumentError("the pre-Lie axiom is binary")
-    d = t.dimension
-    return first_failure(
-        "prelie", d ** 3,
-        ((i, j, k) for i, j in basis_tuples(2, d, "skew") for k in range(d)),
+    return _decide_composed(
+        "prelie", t, ((2, "skew"), (1, "none")), _PRELIE,
         lambda idx: (vec_sub(*_associator(t, *idx)),
                      vec_sub(*_associator(t, idx[1], idx[0], idx[2]))))
 

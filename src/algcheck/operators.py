@@ -14,17 +14,17 @@ basis tuple are written once, in ``_rb_sides``, for
 determinant expansion's table on the cube (constructions module).
 
 Both checks report the first failure of the per-tuple scan over
-``tensor.basis_tuples``, but scan only a lex prefix of ``_PREFIX`` tuples
-one by one, where most failures lie, and decide the rest from the sparse
-difference of the two sides (``_decide``).  A term of either side takes a
-source key j of ``t.table`` and pulls some slots s back through the map M:
-it lands on the tuple i with i_s = j_s at the other slots and i_s with
-M[j_s, i_s] != 0 at those, times those entries.  Rota-Baxter: the left side
-pulls every slot; the right side, for each nonempty subset I, pulls the
-slots outside I, weighs the term by lambda**(|I|-1) and pushes t[j] through
-M.  Derivation: the left side pushes t[j] through M and pulls no slot; the
-right side pulls exactly I, with the same weight.  The report is the
-per-tuple one because:
+``tensor.basis_tuples``, but scan only a lex prefix of ``reports._PREFIX``
+tuples one by one, where most failures lie, and decide the rest from the
+sparse difference of the two sides (:func:`reports.decide`).  A term of
+either side takes a source key j of ``t.table`` and pulls some slots s back
+through the map M: it lands on the tuple i with i_s = j_s at the other
+slots and i_s with M[j_s, i_s] != 0 at those, times those entries.
+Rota-Baxter: the left side pulls every slot; the right side, for each
+nonempty subset I, pulls the slots outside I, weighs the term by
+lambda**(|I|-1) and pushes t[j] through M.  Derivation: the left side
+pushes t[j] through M and pulls no slot; the right side pulls exactly I,
+with the same weight.  The report is the per-tuple one because:
 
 1. *The difference at a tuple is exactly lhs - rhs there.*  The terms
    landing on a tuple, with the sign of their side, are the summands of
@@ -47,12 +47,11 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from itertools import islice
 
 from .axioms import check_associative
 from .linalg import LinearMap, apply_cols, maps_commute, support, vector
 from .reports import (ArgumentError, CheckReport, PreconditionError, agree,
-                      failing, first_failure, passing)
+                      decide, passing)
 from .scalars import Scalar, norm
 from .tensor import StructureTensor, basis_tuples
 
@@ -60,11 +59,6 @@ __all__ = [
     "SubsetMode", "subset_expansion", "check_rota_baxter", "check_derivation",
     "check_duality", "nary_from_associative", "maps_commute",
 ]
-
-# the basis tuples a Rota-Baxter or derivation check scans one by one before
-# it decides the rest from the sparse difference of the two sides
-_PREFIX = 16
-
 
 class SubsetMode(enum.Enum):
     """Which side of a subset the linear map is applied to.
@@ -173,15 +167,17 @@ def check_rota_baxter(t: StructureTensor, p: LinearMap, lam) -> CheckReport:
     failure of the full scan is the least of its permutations, so it is
     scanned, and it is reported with the same two sides.
 
-    Past the first ``_PREFIX`` tuples the scan is decided from the sparse
-    difference of the two sides (module docstring): at a tuple it is exactly
-    lhs - rhs, it is kept at the scanned tuples only, and since the prefix
-    holds no failure its least nonzero tuple is the first failure, reported
-    with the same two sides.
+    Past the first ``reports._PREFIX`` tuples the scan is decided from the
+    sparse difference of the two sides (module docstring): at a tuple it is
+    exactly lhs - rhs, it is kept at the scanned tuples only, and since the
+    prefix holds no failure its least nonzero tuple is the first failure,
+    reported with the same two sides.
     """
     value, sides = _rb_sides(t, p.sparse_cols, lam)
-    return _decide("rota-baxter", t, p, lam, True,
-                   lambda idx: sides(idx, value(idx)))
+    return decide("rota-baxter", t.dimension ** t.arity,
+                  basis_tuples(t.arity, t.dimension, t.symmetry),
+                  lambda idx: sides(idx, value(idx)),
+                  lambda: _least_difference(t, p, lam, True))
 
 
 def check_derivation(t: StructureTensor, dmap: LinearMap, lam) -> CheckReport:
@@ -199,29 +195,10 @@ def check_derivation(t: StructureTensor, dmap: LinearMap, lam) -> CheckReport:
     same two sides.
     """
     value = _basis_expansion(t, dmap.sparse_cols, lam, SubsetMode.DIFF_CHECK)
-    return _decide("derivation", t, dmap, lam, False,
-                   lambda idx: (dmap(t.basis_product(idx)), value(idx)))
-
-
-def _decide(name, t: StructureTensor, m: LinearMap, lam, rb: bool,
-            sides) -> CheckReport:
-    """The report of ``first_failure`` over ``basis_tuples`` with the
-    per-tuple ``sides`` of the Rota-Baxter (``rb``) or derivation identity
-    of ``m``, past the prefix from the least tuple where the sides differ."""
-    count = t.dimension ** t.arity
-    tuples = basis_tuples(t.arity, t.dimension, t.symmetry)
-    rep = first_failure(name, count, islice(tuples, _PREFIX), sides)
-    if not rep.passed or next(tuples, None) is None:
-        return rep
-    least = _least_difference(t, m, lam, rb)
-    if least is None:
-        return rep
-    # exact arithmetic: a nonzero difference is a failure of the sides
-    key, diff = least
-    return agree(first_failure(name, count, (key,), sides),
-                 failing(f"{name} difference", count, key, diff,
-                         (0,) * t.dimension),
-                 f"per-tuple and sparse-difference verdicts at {key}")
+    return decide("derivation", t.dimension ** t.arity,
+                  basis_tuples(t.arity, t.dimension, t.symmetry),
+                  lambda idx: (dmap(t.basis_product(idx)), value(idx)),
+                  lambda: _least_difference(t, dmap, lam, False))
 
 
 def _least_difference(t: StructureTensor, m: LinearMap, lam, rb: bool):

@@ -11,12 +11,21 @@ and so re-verified.  Three gates carry that policy:
   :class:`InternalConsistencyError` (a bug here);
 * :func:`agree`, two verdicts a theorem makes equivalent: differing
   verdicts raise :class:`InternalConsistencyError`.
+
+:func:`decide` is the scan of :func:`first_failure` for the checks that
+find their first failure past a short prefix from the sparse difference of
+their two sides, with :func:`agree` as its cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
+
+# the tuples a decided check scans one by one before it takes the rest from
+# the least tuple where the two sides of its identity differ
+_PREFIX = 16
 
 
 class ArgumentError(ValueError):
@@ -98,6 +107,33 @@ def first_failure(name: str, checked: int, tuples, sides) -> CheckReport:
         if lhs != rhs:
             return failing(name, checked, idx, lhs, rhs)
     return passing(name, checked)
+
+
+def decide(name: str, checked: int, tuples, sides, least) -> CheckReport:
+    """The report of ``first_failure(name, checked, tuples, sides)``, with
+    the tuples of the iterator ``tuples`` past the first ``_PREFIX`` decided
+    by ``least()``.
+
+    ``least()`` is ``(key, lhs - rhs)`` at the least tuple of ``tuples``
+    where the difference of the two sides is nonzero, or ``None``.  The
+    prefix, scanned one by one, holds no failure, so that tuple is the
+    scan's first failure.  It alone is handed to ``first_failure`` with
+    ``sides``, so the report is the scan's by construction; were those
+    sides equal there, :func:`agree` raises
+    :class:`InternalConsistencyError`.
+    """
+    rep = first_failure(name, checked, islice(tuples, _PREFIX), sides)
+    if not rep.passed or next(tuples, None) is None:
+        return rep
+    found = least()
+    if found is None:
+        return rep
+    # exact arithmetic: a nonzero difference is a failure of the sides
+    key, diff = found
+    return agree(first_failure(name, checked, (key,), sides),
+                 failing(f"{name} difference", checked, key, diff,
+                         (0,) * len(diff)),
+                 f"per-tuple and sparse-difference verdicts at {key}")
 
 
 def require(report: CheckReport, what: str) -> None:

@@ -1,0 +1,196 @@
+"""The n-Jacobi, associativity and pre-Lie checks past their prefix.
+
+Past their first ``reports._PREFIX`` tuples these checks decide the scan
+from the sparse difference of their composed sides
+(``axioms._least_composed``).  The draws here scan more tuples than the
+prefix and carry a few structure constants, often on late keys, so that
+they pass or fail late; each is checked again with no prefix at all, so
+every draw reaches the difference.  Every report must be identical to the
+full scan's, down to the int or Fraction type of each coordinate: the dense
+n-Jacobi reference of ``test_axioms`` and the associativity and pre-Lie
+oracles of ``test_scan_oracles``.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, count, product
+
+import pytest
+from hypothesis import Phase, event, find, given, settings
+from hypothesis import strategies as st
+
+from algcheck import axioms, reports
+from algcheck.axioms import check_associative, check_n_jacobi, check_prelie
+from algcheck.catalog import get
+from algcheck.constructions import f_bracket, prelie_from_comm_assoc
+from algcheck.reports import InternalConsistencyError, failing, passing
+from algcheck.tensor import SYMMETRIES, StructureTensor, stored_keys
+
+from test_axioms import reference_jacobi, unsymmetric
+from test_scan_oracles import oracle_associative, oracle_prelie
+from test_sparse_constructions import gl, trace
+
+
+def oracle_jacobi(t):
+    passed, checked, bad = reference_jacobi(t)
+    name = f"{t.arity}-jacobi"
+    return passing(name, checked) if passed else failing(name, checked, *bad)
+
+
+def jacobi_scan(n, d):
+    return [xs + ys for xs in combinations(range(d), n)
+            for ys in combinations(range(d), n - 1)]
+
+
+# kind -> (arity, the tuples the full scan visits in order, check, oracle)
+KINDS = {
+    "3-jacobi": (3, lambda d: jacobi_scan(3, d), check_n_jacobi, oracle_jacobi),
+    "4-jacobi": (4, lambda d: jacobi_scan(4, d), check_n_jacobi, oracle_jacobi),
+    "prelie": (2, lambda d: [(i, j, k) for i, j in combinations(range(d), 2)
+                             for k in range(d)], check_prelie, oracle_prelie),
+    "associative": (2, lambda d: list(product(range(d), repeat=3)),
+                    check_associative, oracle_associative),
+}
+
+
+def fresh(t):
+    """An equal tensor without the reports kept on ``t``."""
+    return StructureTensor(t.arity, t.dimension, t.symmetry, t.entries)
+
+
+def same(got, want):
+    assert got == want and repr(got) == repr(want)
+
+
+def where(rep, scanned):
+    if rep.passed:
+        return "pass"
+    position = scanned.index(rep.counterexample.indices)
+    return ("fail in the prefix" if position < reports._PREFIX
+            else "fail past the prefix")
+
+
+_scalars = st.one_of(st.integers(-2, 2),
+                     st.fractions(min_value=-2, max_value=2, max_denominator=2))
+
+
+@st.composite
+def instances(draw):
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    arity, scanned = KINDS[kind][:2]
+    # the least dimension whose scan is longer than the prefix, or one more
+    least = next(d for d in count(1) if len(scanned(d)) > reports._PREFIX)
+    # in half the Jacobi draws, the simple (n+1)-dimensional n-Lie algebra
+    # with random signs on the last basis vectors: a bracket on late keys
+    simple = arity > 2 and draw(st.booleans())
+    d = least + (1 if simple else draw(st.integers(0, 1)))
+    symmetry = "skew" if arity > 2 else draw(st.sampled_from(SYMMETRIES))
+    entries = {}
+    if simple:
+        top = range(d - arity - 1, d)
+        for i in top:
+            value = entries[tuple(j for j in top if j != i)] = [0] * d
+            value[i] = draw(st.sampled_from((1, -1)))
+    keys = stored_keys(arity, d, symmetry)
+    # a few constants, often on keys without index 0: a product those keys
+    # alone define vanishes on every tuple that starts with 0, as most of
+    # the prefix does
+    late = st.sampled_from(keys) | st.sampled_from([k for k in keys if min(k)])
+    for key, k, a in draw(st.lists(st.tuples(late, st.integers(0, d - 1), _scalars),
+                                   min_size=0 if entries else 1, max_size=4)):
+        entries.setdefault(key, [0] * d)[k] = a
+    return kind, StructureTensor(arity, d, symmetry, entries)
+
+
+def storages(t):
+    """``t``, and a skew bracket also stored on every ordered tuple, whose
+    skewness the Jacobi check scans instead of assuming."""
+    return [t, unsymmetric(t)] if t.arity > 2 else [t]
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_composed_checks_past_the_prefix_match_the_full_scans(instance):
+    kind, t = instance
+    arity, scanned, check, oracle = KINDS[kind]
+    want = oracle(t)
+    event(f"{kind}: {where(want, scanned(t.dimension))}")
+    for s in storages(t):
+        same(check(fresh(s)), want)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reports, "_PREFIX", 0)
+            same(check(fresh(s)), want)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_draws_fail_past_the_prefix(kind):
+    # the case the difference must get right: no failure in the prefix, and
+    # a first failure after it
+    _, scanned, check, oracle = KINDS[kind]
+    _, t = find(instances(),
+                lambda instance: instance[0] == kind and where(
+                    oracle(instance[1]), scanned(instance[1].dimension))
+                == "fail past the prefix",
+                settings=settings(database=None, derandomize=True,
+                                  max_examples=2000, phases=[Phase.generate]))
+    same(check(t), oracle(t))
+
+
+# ------------------------------------------------------- the gl(4) f-bracket
+
+
+@lru_cache(maxsize=1)
+def gl4_f_bracket():
+    return f_bracket(gl(4), trace(4))
+
+
+def test_perturbed_f_bracket_fails_past_the_prefix_as_the_full_scan():
+    # one constant moved: the bracket fails at many tuples, with several
+    # first indices, and first at one past the prefix
+    fb = gl4_f_bracket()
+    value = list(fb.entries[(0, 1, 4)])
+    value[0] += Fraction(1, 2)
+    t = StructureTensor(3, 16, "skew", {**fb.entries, (0, 1, 4): tuple(value)})
+    want = oracle_jacobi(t)
+    assert where(want, jacobi_scan(3, 16)) == "fail past the prefix"
+    same(check_n_jacobi(t), want)
+
+
+def test_a_passing_f_bracket_scans_only_the_prefix_one_by_one(monkeypatch):
+    t = fresh(gl4_f_bracket())
+    scanned = []
+    real = reports.first_failure
+
+    def counting(name, checked, tuples, sides):
+        tuples = list(tuples)
+        scanned.extend(tuples)
+        return real(name, checked, tuples, sides)
+
+    monkeypatch.setattr(reports, "first_failure", counting)
+    rep = check_n_jacobi(t)
+    assert rep.passed and rep.checked_count == 16 ** 5
+    assert scanned == jacobi_scan(3, 16)[:reports._PREFIX]
+
+
+def passing_instance(kind):
+    """A product that passes the check of ``kind`` and scans more tuples
+    than the prefix."""
+    qt3 = get("qt3_deg4")
+    if kind == "3-jacobi":
+        return gl4_f_bracket()
+    if kind == "associative":
+        return qt3.products["prod"]
+    return prelie_from_comm_assoc(qt3.products["prod"], qt3.maps["D1"])
+
+
+@pytest.mark.parametrize("kind", ["3-jacobi", "associative", "prelie"])
+def test_a_difference_the_sides_do_not_confirm_is_an_internal_error(
+        monkeypatch, kind):
+    _, scanned, check, _ = KINDS[kind]
+    t = passing_instance(kind)
+    assert check(t).passed
+    key = scanned(t.dimension)[reports._PREFIX]
+    monkeypatch.setattr(axioms, "_least_composed",
+                        lambda *args: (key, (1,) + (0,) * (t.dimension - 1)))
+    with pytest.raises(InternalConsistencyError, match="sparse-difference"):
+        check(fresh(t))

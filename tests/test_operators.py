@@ -5,7 +5,7 @@ import pytest
 from hypothesis import Phase, event, find, given, settings
 from hypothesis import strategies as st
 
-from algcheck import operators
+from algcheck import operators, reports
 from algcheck.axioms import check_associative, check_commutative
 from algcheck.catalog import catalog_names, get, running_sum_map
 from algcheck.inheritance import naive_bracket
@@ -480,7 +480,7 @@ def test_single_replacement_sum_is_the_weight0_subset_expansion(instance):
 
 
 # ------------------------------------ the sparse difference past the prefix
-# Past their first operators._PREFIX tuples the checks decide the scan from
+# Past their first reports._PREFIX tuples the checks decide the scan from
 # the sparse difference of the two sides.  The dim-3 draws above scan at most
 # 27 tuples, nearly all inside the prefix; these scan more than the prefix
 # and are sparse enough to pass, or to fail late.  Each draw is also checked
@@ -506,7 +506,7 @@ def past_prefix_instances(draw):
     symmetry = draw(st.sampled_from(SYMMETRIES))
     # the least dimension whose scan is longer than the prefix, or one more
     least = next(d for d in count(1)
-                 if len(stored_keys(arity, d, symmetry)) > operators._PREFIX)
+                 if len(stored_keys(arity, d, symmetry)) > reports._PREFIX)
     d = least + draw(st.integers(0, 1))
     keys = stored_keys(arity, d, symmetry)
     # a few constants, often on late keys, so that many checks fail late
@@ -535,7 +535,7 @@ def _where(rep, t):
     if rep.passed:
         return "pass"
     position = _scanned(t).index(rep.counterexample.indices)
-    return ("fail in the prefix" if position < operators._PREFIX
+    return ("fail in the prefix" if position < reports._PREFIX
             else "fail past the prefix")
 
 
@@ -543,14 +543,14 @@ def _where(rep, t):
 @given(past_prefix_instances())
 def test_operator_checks_past_the_prefix_match_the_per_tuple_form(instance):
     t = instance[0]
-    assert len(_scanned(t)) > operators._PREFIX
+    assert len(_scanned(t)) > reports._PREFIX
     for check, oracle in _OPERATOR_ORACLES:
         want = oracle(*instance)
         event(f"{t.symmetry}, arity {t.arity}: {_where(want, t)}")
         got = check(*instance)
         assert got == want and repr(got) == repr(want)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(operators, "_PREFIX", 0)
+            mp.setattr(reports, "_PREFIX", 0)
             got = check(*instance)
         assert got == want and repr(got) == repr(want)
 
@@ -575,25 +575,25 @@ def test_checks_past_the_prefix_scan_no_more_tuples(monkeypatch):
     alg = get("qt3_deg4")
     cube = nary_from_associative(alg.products["prod"], 3)
     scanned = []
-    real = operators.first_failure
+    real = reports.first_failure
 
     def counting(name, checked, tuples, sides):
         tuples = list(tuples)
         scanned.extend(tuples)
         return real(name, checked, tuples, sides)
 
-    monkeypatch.setattr(operators, "first_failure", counting)
+    monkeypatch.setattr(reports, "first_failure", counting)
     for name in ("D1", "D2", "D3"):
         scanned.clear()
         rep = check_derivation(cube, alg.maps[name], 0)
         assert rep.passed and rep.checked_count == 8000
-        assert scanned == _scanned(cube)[:operators._PREFIX]
+        assert scanned == _scanned(cube)[:reports._PREFIX]
 
 
 def test_a_difference_the_sides_do_not_confirm_is_an_internal_error(monkeypatch):
     alg = get("qt3_deg4")
     cube = nary_from_associative(alg.products["prod"], 3)
-    key = _scanned(cube)[operators._PREFIX]
+    key = _scanned(cube)[reports._PREFIX]
     monkeypatch.setattr(operators, "_least_difference",
                         lambda *args: (key, (1,) + (0,) * 19))
     with pytest.raises(InternalConsistencyError, match="sparse-difference"):
@@ -615,7 +615,7 @@ def test_catalog_operators_pass_on_cubes_past_the_prefix():
                     or not check_commutative(t).passed):
                 continue
             cube = nary_from_associative(t, 3)
-            assert len(_scanned(cube)) > operators._PREFIX
+            assert len(_scanned(cube)) > reports._PREFIX
             maps = [m]
             if oc.kind == "rb":
                 maps.append(LinearMap.scalar(alg.dimension, -oc.weight) - m)
@@ -634,7 +634,7 @@ def test_scalar_operators_pass_past_the_prefix(lam):
     qt2 = get("qt2_deg3").products
     for t in (nary_from_associative(get("q4").products["prod"], 3),
               qt2["prod"], qt2["det2"]):
-        assert len(_scanned(t)) > operators._PREFIX
+        assert len(_scanned(t)) > reports._PREFIX
         scalars = (-lam, Fraction(-1) / lam)
         for (check, oracle), c in zip(_OPERATOR_ORACLES, scalars):
             m = LinearMap.scalar(t.dimension, c)
