@@ -18,27 +18,32 @@ scanned, by the same argument without the repeated-index case.  Either
 way the first reduced failure is still the lexicographically least failing
 basis tuple.  ``checked_count`` always reports the full logical tuple count.
 
-The n-Jacobi, associativity and pre-Lie identities are quadratic in the
-product: each side is a signed sum of one-level compositions
-t(..., t(...), ...) of basis vectors.  Their scans visit blocks of
-``basis_tuples`` concatenated: ascending xs then ascending ys for
-n-Jacobi, i < j then any k for pre-Lie, every triple for associativity.
-They scan the first ``reports._PREFIX`` tuples one by one and decide the
-rest from the sparse difference of the two sides
-(:func:`reports.decide`), which ``_least_composed`` builds from ``t.table``
-alone.  A term of a composition takes an inner source key J of the table,
-a nonzero coordinate c at v of its product, and an outer source key K with
-v in the slot of the inner product; it lands on the tuple whose positions
-J and K, less that slot, name, with the sign of the composition times c
-times the product of K.  The report is the per-tuple one because:
+The n-Jacobi, associativity, pre-Lie and binary Jacobi identities, and the
+derivation axiom of a Lie triple system, are quadratic in the product: each
+side is a sum of one-level compositions t(..., t(...), ...) of basis
+vectors, stated once as data, ``(coeff, inner, outer)`` per composition.
+Their scans visit blocks of ``basis_tuples`` concatenated: ascending xs then
+ascending ys for n-Jacobi, i < j then any k for pre-Lie, ascending triples
+for the binary Jacobi identity, every triple for associativity and every
+5-tuple for the derivation axiom.  They scan the first ``reports._PREFIX``
+tuples one by one, each side one contraction of its compositions
+(``_composed_side``), and decide the rest from the sparse difference of the
+two sides (:func:`reports.decide`), which ``_least_composed`` builds from
+``t.table`` alone, from the same compositions with those of rhs negated.
+A term of a composition takes an inner source key J of the table, a nonzero
+coordinate c at v of its product, and an outer source key K with v in the
+slot of the inner product; it lands on the tuple whose positions J and K,
+less that slot, name, with the coefficient of the composition times c times
+the product of K.  The report is the per-tuple one because:
 
-1. *The difference at a tuple is exactly lhs - rhs there.*  The terms
-   landing on a tuple, with the signs of their compositions, are the
-   summands of lhs and rhs as the per-tuple sides expand them over the same
-   table.  Each is a product of two constants, so with every constant made
-   an integer by their common denominator q the terms add up exactly to
-   q**2 (lhs - rhs), which divided by q**2 is lhs - rhs, zero iff the two
-   sides are equal.
+1. *The difference at a tuple is exactly lhs - rhs there.*  Both sides and
+   the difference are read off the same compositions, so by construction
+   the terms landing on a tuple, with the coefficients of their
+   compositions, are the summands of lhs and rhs as ``_composed_side``
+   expands them over the same table.  Each is a product of two constants,
+   so with every constant made an integer by their common denominator q
+   the terms add up exactly to q**2 (lhs - rhs), which divided by q**2 is
+   lhs - rhs, zero iff the two sides are equal.
 2. *It is kept at the scanned tuples only.*  A term is dropped unless its
    tuple rises inside every block as the scan's tuples do (strictly in a
    ``skew`` block, weakly in a ``symmetric`` one, freely in ``none``), so
@@ -58,15 +63,11 @@ from functools import wraps
 from math import lcm
 from operator import itemgetter
 
-from .linalg import LinearForm, LinearMap, basis_vector, nullspace, vec_sub
+from .linalg import LinearForm, LinearMap, basis_vector, nullspace
 from .reports import (ArgumentError, CheckReport, decide, failing,
                       first_failure, passing)
 from .scalars import rational
-from .tensor import StructureTensor, basis_tuples
-
-# the least rise from one scanned position to the next inside a block of
-# each symmetry; a block of symmetry "none" imposes no order
-_RISE = {"none": None, "symmetric": 0, "skew": 1}
+from .tensor import RISE, StructureTensor, basis_tuples
 
 
 def _kept(check):
@@ -118,14 +119,30 @@ def _block_tuples(d, blocks):
             yield head + tail
 
 
-def _decide_composed(name, t: StructureTensor, blocks, compositions,
-                     sides) -> CheckReport:
+def _composed_side(t: StructureTensor, compositions, idx):
+    """The sum of ``compositions`` at the basis tuple ``idx``, as one
+    contraction with one term per composition; a coefficient other than 1
+    scales the inner product in its slot."""
+    pairs = t.table.get
+    terms = []
+    for coeff, inner, outer in compositions:
+        slot = pairs(tuple(idx[p] for p in inner), ())
+        if coeff != 1:
+            slot = tuple((k, coeff * c) for k, c in slot)
+        terms.append(tuple(slot if p is None else idx[p] for p in outer))
+    return t.contract(*terms)
+
+
+def _decide_composed(name, count, t: StructureTensor, blocks, lhs,
+                     rhs) -> CheckReport:
     """The report of ``first_failure`` over the tuples of ``blocks`` with the
-    per-tuple ``sides``, past the prefix from the least tuple where the sum
-    of ``compositions`` is nonzero."""
-    return decide(name, t.dimension ** sum(k for k, _ in blocks),
-                  _block_tuples(t.dimension, blocks), sides,
-                  lambda: _least_composed(t, blocks, compositions))
+    sides ``lhs`` and ``rhs``, sums of compositions, past the prefix from
+    the least tuple where lhs - rhs is nonzero."""
+    return decide(name, count, _block_tuples(t.dimension, blocks),
+                  lambda idx: (_composed_side(t, lhs, idx),
+                               _composed_side(t, rhs, idx)),
+                  lambda: _least_composed(
+                      t, blocks, [*lhs, *((-c, i, o) for c, i, o in rhs)]))
 
 
 def _steps(names, rises):
@@ -163,9 +180,9 @@ def _least_composed(t: StructureTensor, blocks, compositions):
              for key, prod in t.table.items()}
     rises, length = {}, 0  # position -> least rise from the one before it
     for k, symmetry in blocks:
-        if _RISE[symmetry] is not None:
+        if RISE[symmetry] is not None:
             rises.update(dict.fromkeys(range(length + 1, length + k),
-                                       _RISE[symmetry]))
+                                       RISE[symmetry]))
         length += k
     plans = []
     for coeff, inner, outer in compositions:
@@ -239,52 +256,43 @@ def check_n_jacobi(t: StructureTensor) -> CheckReport:
     ``skew`` storage by construction of the table, on ``none`` storage
     because :func:`check_skew_symmetric` passed on every adjacent swap.
 
-    Both sides are compositions of the bracket with itself:
-    t(t(xs), ys) and the sum over i of t(xs with t(x_i, ys) at slot i).
-    Past the first ``reports._PREFIX`` tuples the scan is decided from
-    their sparse difference (module docstring): at a tuple it is exactly
-    lhs - rhs, it is kept at the scanned tuples only, and since the prefix
-    holds no failure its least nonzero tuple is the first failure, reported
-    with the same two sides.
+    Both sides are compositions of the bracket with itself, t(t(xs), ys)
+    and the sum over i of t(xs with t(x_i, ys) at slot i), decided as in
+    the module docstring.
     """
-    n, d = t.arity, t.dimension
+    n = t.arity
     _require_skew(t)
-    pairs = t.table.get
     xs, ys = tuple(range(n)), tuple(range(n, 2 * n - 1))
-    compositions = [(1, xs, (None,) + ys)] + [
-        (-1, (i,) + ys, xs[:i] + (None,) + xs[i + 1:]) for i in range(n)]
-
-    def sides(idx):
-        xs, ys = idx[:n], idx[n:]
-        inner = [pairs((x,) + ys) for x in xs]
-        return (t.contract((pairs(xs, ()),) + ys),
-                t.contract(*[xs[:i] + (v,) + xs[i + 1:]
-                             for i, v in enumerate(inner) if v]))
-    return _decide_composed(f"{n}-jacobi", t, ((n, "skew"), (n - 1, "skew")),
-                            compositions, sides)
+    return _decide_composed(
+        f"{n}-jacobi", t.dimension ** (2 * n - 1), t,
+        ((n, "skew"), (n - 1, "skew")), ((1, xs, (None,) + ys),),
+        [(1, (i,) + ys, xs[:i] + (None,) + xs[i + 1:]) for i in range(n)])
 
 
-def _associator(t, i, j, k):
-    """Both bracketings (e_i e_j) e_k and e_i (e_j e_k) of a binary product."""
-    pairs = t.table.get
-    return (t.contract((pairs((i, j), ()), k)),
-            t.contract((i, pairs((j, k), ()))))
-
-
-# (e0 e1) e2 - e0 (e1 e2), as compositions of the product with itself, and
-# the pre-Lie difference: that associator less the one at (e1, e0, e2)
-_ASSOCIATOR = ((1, (0, 1), (None, 2)), (-1, (1, 2), (0, None)))
-_PRELIE = _ASSOCIATOR + ((-1, (1, 0), (None, 2)), (1, (0, 2), (1, None)))
+# each quadratic identity of a binary product as its (lhs, rhs), each side
+# compositions as ``_least_composed`` reads them: (e0 e1) e2 = e0 (e1 e2);
+# the associator at (e0, e1, e2) equals the one at (e1, e0, e2); and the
+# cyclic sum of (e0 e1) e2 vanishes
+_ASSOCIATIVE = (((1, (0, 1), (None, 2)),), ((1, (1, 2), (0, None)),))
+_PRELIE = (((1, (0, 1), (None, 2)), (-1, (1, 2), (0, None))),
+           ((1, (1, 0), (None, 2)), (-1, (0, 2), (1, None))))
+_LIE_JACOBI = (((1, (0, 1), (None, 2)), (1, (1, 2), (None, 0)),
+                (1, (2, 0), (None, 1))), ())
+# {e0 e1 e2} e3 e4 acts as a derivation: {{e0 e1 e2} e3 e4} =
+# {{e0 e3 e4} e1 e2} + {e0 {e1 e3 e4} e2} + {e0 e1 {e2 e3 e4}}
+_LTS_DERIVATION = (((1, (0, 1, 2), (None, 3, 4)),),
+                   ((1, (0, 3, 4), (None, 1, 2)), (1, (1, 3, 4), (0, None, 2)),
+                    (1, (2, 3, 4), (0, 1, None))))
 
 
 @_kept
 def check_associative(t: StructureTensor) -> CheckReport:
-    """(xy)z = x(yz) over all basis triples; past the prefix decided from
-    the sparse difference of the two compositions (module docstring)."""
+    """(xy)z = x(yz) over all basis triples, decided as in the module
+    docstring."""
     if t.arity != 2:
         raise ArgumentError("associativity is a binary axiom")
-    return _decide_composed("associative", t, ((3, "none"),), _ASSOCIATOR,
-                            lambda idx: _associator(t, *idx))
+    return _decide_composed("associative", t.dimension ** 3, t,
+                            ((3, "none"),), *_ASSOCIATIVE)
 
 
 @_kept
@@ -298,23 +306,16 @@ def check_commutative(t: StructureTensor) -> CheckReport:
 
 @_kept
 def check_lie(t: StructureTensor) -> CheckReport:
-    """Antisymmetry plus the binary Jacobi identity (cyclic form)."""
+    """Antisymmetry plus the binary Jacobi identity (cyclic form), the
+    latter decided as in the module docstring."""
     if t.arity != 2:
         raise ArgumentError("the Lie axioms are binary")
-    d = t.dimension
     skew = check_skew_symmetric(t)
-    count = skew.checked_count + d ** 3
+    count = skew.checked_count + t.dimension ** 3
     if not skew.passed:
         c = skew.counterexample
         return failing("lie", count, c.indices, c.lhs, c.rhs)
-    pairs = t.table.get
-    zero = (0,) * d
-
-    def sides(idx):
-        i, j, k = idx
-        return t.contract(*[(pairs((a, b), ()), c)
-                            for a, b, c in ((i, j, k), (j, k, i), (k, i, j))]), zero
-    return first_failure("lie", count, basis_tuples(3, d, "skew"), sides)
+    return _decide_composed("lie", count, t, ((3, "skew"),), *_LIE_JACOBI)
 
 
 @_kept
@@ -322,19 +323,14 @@ def check_prelie(t: StructureTensor) -> CheckReport:
     """Left pre-Lie: the associator is symmetric in its first two arguments.
 
     The associator at (i, j, k) is scanned against the one at (j, i, k) on
-    i < j: the identity is alternating in (i, j).  Its sides are the
-    associators, so past the first ``reports._PREFIX`` tuples the scan is
-    decided from the sparse difference of their four compositions (module
-    docstring): at a tuple it is exactly lhs - rhs, it is kept at the
-    scanned tuples only, and since the prefix holds no failure its least
-    nonzero tuple is the first failure, reported with the same two sides.
+    i < j: the identity is alternating in (i, j).  Both sides are
+    associators, composed of the product with itself, and the scan is
+    decided as in the module docstring.
     """
     if t.arity != 2:
         raise ArgumentError("the pre-Lie axiom is binary")
-    return _decide_composed(
-        "prelie", t, ((2, "skew"), (1, "none")), _PRELIE,
-        lambda idx: (vec_sub(*_associator(t, *idx)),
-                     vec_sub(*_associator(t, idx[1], idx[0], idx[2]))))
+    return _decide_composed("prelie", t.dimension ** 3, t,
+                            ((2, "skew"), (1, "none")), *_PRELIE)
 
 
 @_kept
@@ -343,29 +339,24 @@ def check_lts(t: StructureTensor) -> CheckReport:
 
     The vanishing of {x,y,y} is checked in its polarized form
     {x,y,z} + {x,z,y} = 0 (equivalent in characteristic 0); then the cyclic
-    sum; then the five-argument derivation identity.
+    sum; then the five-argument derivation identity, decided as in the
+    module docstring.
     """
     if t.arity != 3:
         raise ArgumentError("the Lie-triple-system axioms are ternary")
     d = t.dimension
     zero = (0,) * d
     count = d ** 3 + d ** 3 + d ** 5
-    pairs = t.table.get
-
-    def derivation(idx):
-        i, j, k, a, b = idx
-        return (t.contract((pairs((i, j, k), ()), a, b)),
-                t.contract((pairs((i, a, b), ()), j, k),
-                           (i, pairs((j, a, b), ()), k),
-                           (i, j, pairs((k, a, b), ()))))
     scans = (
         (((i, j, k) for i in range(d) for j, k in basis_tuples(2, d, "symmetric")),
          lambda idx: (t.contract(idx, (idx[0], idx[2], idx[1])), zero)),
         (basis_tuples(3, d, "none"),
-         lambda idx: (t.contract(idx, idx[1:] + idx[:1], idx[2:] + idx[:2]), zero)),
-        (basis_tuples(5, d, "none"), derivation))
-    reports = (first_failure("lts", count, *scan) for scan in scans)
-    return next((rep for rep in reports if not rep.passed), passing("lts", count))
+         lambda idx: (t.contract(idx, idx[1:] + idx[:1], idx[2:] + idx[:2]), zero)))
+    for scan in scans:
+        rep = first_failure("lts", count, *scan)
+        if not rep.passed:
+            return rep
+    return _decide_composed("lts", count, t, ((5, "none"),), *_LTS_DERIVATION)
 
 
 # every axiom check by its name on the command line

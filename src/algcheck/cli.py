@@ -22,6 +22,7 @@ from .operators import OPERATOR_CHECKS as _OP_KINDS
 from .reports import (ArgumentError, FileFormatError,
                       InternalConsistencyError, PreconditionError)
 from .scalars import format_rational, parse_rational
+from .search import STRATEGIES, TARGETS, SearchSpec, search
 from .selftest import run_selftest
 
 _RECIPES = ("f-bracket", "fD-bracket", "det2", "det3", "derived", "naive",
@@ -153,7 +154,6 @@ def _cmd_construct(args, out):
 
 
 def _cmd_search(args, out):
-    from .search import SearchSpec, search
     alg = _load_algebra(args.algebra)
     pname = _pick_product(alg, args.product)
     entry_set = tuple(parse_rational(e) for e in args.entries.split(","))
@@ -242,13 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("search", help="search for forms or operators")
     s.add_argument("algebra")
-    s.add_argument("--target", required=True,
-                   choices=("rb_operator", "annihilating_form", "fD_form"))
+    s.add_argument("--target", required=True, choices=TARGETS)
     s.add_argument("--product", default=None)
     s.add_argument("--map", default=None)
     s.add_argument("--weight", default="0")
-    s.add_argument("--strategy", default=None,
-                   choices=("solve", "grid", "random"))
+    s.add_argument("--strategy", default=None, choices=STRATEGIES)
     s.add_argument("--entries", default="-1,0,1",
                    help="comma-separated rational entry set")
     s.add_argument("--max-candidates", type=int, default=100000)

@@ -53,7 +53,7 @@ from .linalg import LinearMap, apply_cols, maps_commute, support, vector
 from .reports import (ArgumentError, CheckReport, PreconditionError, agree,
                       decide, passing)
 from .scalars import Scalar, norm
-from .tensor import StructureTensor, basis_tuples
+from .tensor import RISE, StructureTensor, basis_tuples
 
 __all__ = [
     "SubsetMode", "subset_expansion", "check_rota_baxter", "check_derivation",
@@ -229,8 +229,9 @@ def _least_difference(t: StructureTensor, m: LinearMap, lam, rb: bool):
             for i, a in cols[k]:
                 pushed[i] += c * a
         by_first[key[0]].append((key, pairs, support(pushed)))
-    # a scanned tuple rises by at least gap at each slot
-    gap = {"none": -d, "symmetric": 0, "skew": 1}[t.symmetry]
+    # a scanned tuple rises by at least gap at each slot; -d bounds nothing
+    gap = RISE[t.symmetry]
+    gap = -d if gap is None else gap
     for first in range(d):
         diff = {}
         for pulled, coeff, push in terms:

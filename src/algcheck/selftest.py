@@ -19,10 +19,10 @@ from concurrent.futures import ProcessPoolExecutor
 from . import files
 from .catalog import catalog_names, get as catalog_get
 from .axioms import AXIOM_CHECKS, CLAIM_AXIOMS
-from .constructions import (cor33_condition, det_rb_expansion_check,
-                            derived_prelie, f_bracket, fD_bracket,
-                            prelie_from_comm_assoc, thm32_condition,
-                            thm35_f_condition, thm36_bracket,
+from .constructions import (cor33_condition, det_bracket_3,
+                            det_rb_expansion_check, derived_prelie, f_bracket,
+                            fD_bracket, prelie_from_comm_assoc,
+                            thm32_condition, thm35_f_condition, thm36_bracket,
                             thm36_f_condition, thm36_rb_condition)
 from .inheritance import (check_derivation_transfer, check_rb_lts_transfer,
                           cor53_bracket, cor54_bracket, cor55_bracket,
@@ -99,10 +99,9 @@ def _theorems_task(name):
             derived_prelie(t, p, oc.weight)
             ok(f"derived-prelie({oc.map})")
             if oc.weight == 0:
-                f_results = [r for r in search(
+                forms = [r.found for r in search(
                     alg, SearchSpec("annihilating_form", oc.product))]
-                forms = [r.found for r in f_results] + [
-                    f for f in alg.forms.values()]
+                forms += alg.forms.values()
                 for f in forms:
                     if (thm35_f_condition(t, f).passed
                             and thm36_f_condition(t, p, f).passed):
@@ -161,7 +160,6 @@ def _roundtrip_task(name):
 
 
 def _det3_task(name):
-    from .constructions import det_bracket_3
     alg = catalog_get(name)
     t = alg.products["prod"]
     det3 = det_bracket_3(t, alg.maps["D1"], alg.maps["D2"], alg.maps["D3"])

@@ -191,6 +191,9 @@ class StructureTensor:
 
 _TUPLES = {"skew": combinations, "symmetric": combinations_with_replacement,
            "none": lambda r, n: iproduct(r, repeat=n)}
+# the least rise from one index to the next of the tuples ``basis_tuples``
+# gives for each symmetry; those of "none" may fall
+RISE = {"skew": 1, "symmetric": 0, "none": None}
 
 
 def basis_tuples(arity, dimension, symmetry):

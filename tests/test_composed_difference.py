@@ -1,4 +1,5 @@
-"""The n-Jacobi, associativity and pre-Lie checks past their prefix.
+"""The n-Jacobi, associativity, pre-Lie, Lie and Lie-triple-system checks
+past their prefix.
 
 Past their first ``reports._PREFIX`` tuples these checks decide the scan
 from the sparse difference of their composed sides
@@ -7,8 +8,8 @@ prefix and carry a few structure constants, often on late keys, so that
 they pass or fail late; each is checked again with no prefix at all, so
 every draw reaches the difference.  Every report must be identical to the
 full scan's, down to the int or Fraction type of each coordinate: the dense
-n-Jacobi reference of ``test_axioms`` and the associativity and pre-Lie
-oracles of ``test_scan_oracles``.
+n-Jacobi reference of ``test_axioms`` and the associativity, pre-Lie, Lie
+and Lie-triple-system oracles of ``test_scan_oracles``.
 """
 
 from fractions import Fraction
@@ -20,14 +21,17 @@ from hypothesis import Phase, event, find, given, settings
 from hypothesis import strategies as st
 
 from algcheck import axioms, reports
-from algcheck.axioms import check_associative, check_n_jacobi, check_prelie
+from algcheck.axioms import (check_associative, check_lie, check_lts,
+                             check_n_jacobi, check_prelie)
 from algcheck.catalog import get
 from algcheck.constructions import f_bracket, prelie_from_comm_assoc
+from algcheck.inheritance import lts_from_lie
 from algcheck.reports import InternalConsistencyError, failing, passing
 from algcheck.tensor import SYMMETRIES, StructureTensor, stored_keys
 
 from test_axioms import reference_jacobi, unsymmetric
-from test_scan_oracles import oracle_associative, oracle_prelie
+from test_scan_oracles import (oracle_associative, oracle_lie, oracle_lts,
+                               oracle_prelie)
 from test_sparse_constructions import gl, trace
 
 
@@ -50,6 +54,9 @@ KINDS = {
                              for k in range(d)], check_prelie, oracle_prelie),
     "associative": (2, lambda d: list(product(range(d), repeat=3)),
                     check_associative, oracle_associative),
+    "lie": (2, lambda d: list(combinations(range(d), 3)), check_lie, oracle_lie),
+    # the derivation axiom, scanned once the first two axioms pass
+    "lts": (3, lambda d: list(product(range(d), repeat=5)), check_lts, oracle_lts),
 }
 
 
@@ -75,8 +82,32 @@ _scalars = st.one_of(st.integers(-2, 2),
 
 
 @st.composite
+def triple_systems(draw):
+    """The Lie triple system of a Lie bracket with a few constants added
+    that keep its first two axioms: for a < b < c, s*v at (a, b, c) and
+    (b, a, c), and -s*v at (a, c, b) and (b, c, a).  Both axioms sum a
+    constant against its swap in the last two slots, or over a cyclic
+    orbit, and each such sum of the added constants cancels."""
+    lie = draw(st.sampled_from([get("heisenberg").products["bracket"],
+                                get("heisenberg_line").products["bracket"],
+                                gl(2)]))
+    lts = lts_from_lie(lie)
+    d = lts.dimension
+    entries = {key: list(value) for key, value in lts.entries.items()}
+    for (a, b, c), v, s in draw(st.lists(st.tuples(
+            st.sampled_from(list(combinations(range(d), 3))),
+            st.integers(0, d - 1), _scalars), max_size=3)):
+        for key, sign in (((a, b, c), 1), ((b, a, c), 1),
+                          ((a, c, b), -1), ((b, c, a), -1)):
+            entries.setdefault(key, [0] * d)[v] += sign * s
+    return StructureTensor(3, d, "none", entries)
+
+
+@st.composite
 def instances(draw):
     kind = draw(st.sampled_from(sorted(KINDS)))
+    if kind == "lts":
+        return kind, draw(triple_systems())
     arity, scanned = KINDS[kind][:2]
     # the least dimension whose scan is longer than the prefix, or one more
     least = next(d for d in count(1) if len(scanned(d)) > reports._PREFIX)
@@ -84,7 +115,8 @@ def instances(draw):
     # with random signs on the last basis vectors: a bracket on late keys
     simple = arity > 2 and draw(st.booleans())
     d = least + (1 if simple else draw(st.integers(0, 1)))
-    symmetry = "skew" if arity > 2 else draw(st.sampled_from(SYMMETRIES))
+    symmetry = ("skew" if arity > 2 or kind == "lie"
+                else draw(st.sampled_from(SYMMETRIES)))
     entries = {}
     if simple:
         top = range(d - arity - 1, d)
@@ -103,9 +135,9 @@ def instances(draw):
 
 
 def storages(t):
-    """``t``, and a skew bracket also stored on every ordered tuple, whose
-    skewness the Jacobi check scans instead of assuming."""
-    return [t, unsymmetric(t)] if t.arity > 2 else [t]
+    """``t``, and a skew product also stored on every ordered tuple, whose
+    skewness the Jacobi and Lie checks scan instead of assuming."""
+    return [t, unsymmetric(t)] if t.symmetry == "skew" else [t]
 
 
 @settings(max_examples=200, deadline=None)
@@ -172,18 +204,41 @@ def test_a_passing_f_bracket_scans_only_the_prefix_one_by_one(monkeypatch):
     assert scanned == jacobi_scan(3, 16)[:reports._PREFIX]
 
 
+def test_a_passing_lts_scans_only_the_prefix_one_by_one(monkeypatch):
+    # the first two axioms are scanned tuple by tuple outside the decision;
+    # of the d**5 tuples of the derivation axiom only the prefix is
+    t = fresh(passing_instance("lts"))
+    scanned = []
+    real = reports.first_failure
+
+    def counting(name, checked, tuples, sides):
+        tuples = list(tuples)
+        scanned.extend(tuples)
+        return real(name, checked, tuples, sides)
+
+    monkeypatch.setattr(reports, "first_failure", counting)
+    rep = check_lts(t)
+    assert rep.passed and rep.checked_count == 2 * 4 ** 3 + 4 ** 5
+    assert scanned == list(product(range(4), repeat=5))[:reports._PREFIX]
+
+
 def passing_instance(kind):
     """A product that passes the check of ``kind`` and scans more tuples
     than the prefix."""
     qt3 = get("qt3_deg4")
     if kind == "3-jacobi":
         return gl4_f_bracket()
+    if kind == "lie":
+        return gl(3)
+    if kind == "lts":
+        return lts_from_lie(gl(2))
     if kind == "associative":
         return qt3.products["prod"]
     return prelie_from_comm_assoc(qt3.products["prod"], qt3.maps["D1"])
 
 
-@pytest.mark.parametrize("kind", ["3-jacobi", "associative", "prelie"])
+@pytest.mark.parametrize("kind", ["3-jacobi", "associative", "prelie",
+                                  "lie", "lts"])
 def test_a_difference_the_sides_do_not_confirm_is_an_internal_error(
         monkeypatch, kind):
     _, scanned, check, _ = KINDS[kind]
