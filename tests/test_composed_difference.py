@@ -88,6 +88,8 @@ def triple_systems(draw):
     (b, a, c), and -s*v at (a, c, b) and (b, c, a).  Both axioms sum a
     constant against its swap in the last two slots, or over a cyclic
     orbit, and each such sum of the added constants cancels."""
+    # the Heisenberg brackets give the zero triple system, gl(2) one that
+    # is not
     lie = draw(st.sampled_from([get("heisenberg").products["bracket"],
                                 get("heisenberg_line").products["bracket"],
                                 gl(2)]))
@@ -218,8 +220,9 @@ def test_a_passing_lts_scans_only_the_prefix_one_by_one(monkeypatch):
 
     monkeypatch.setattr(reports, "first_failure", counting)
     rep = check_lts(t)
-    assert rep.passed and rep.checked_count == 2 * 4 ** 3 + 4 ** 5
-    assert scanned == list(product(range(4), repeat=5))[:reports._PREFIX]
+    d = t.dimension
+    assert rep.passed and rep.checked_count == 2 * d ** 3 + d ** 5
+    assert scanned == list(product(range(d), repeat=5))[:reports._PREFIX]
 
 
 def passing_instance(kind):
