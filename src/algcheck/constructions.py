@@ -17,14 +17,14 @@ import logging
 from .axioms import (check_associative, check_commutative, check_lie,
                      check_n_jacobi, check_prelie, check_skew_symmetric,
                      commutator)
-from .linalg import (LinearForm, LinearMap, maps_commute, support, vec_add,
-                     vec_scale, vec_sub, zero_vector)
+from .linalg import (LinearForm, LinearMap, maps_commute, vec_add, vec_scale,
+                     vec_sub, zero_vector)
 from .operators import (_rb_sides, check_derivation, check_rota_baxter,
                         nary_from_associative)
 from .reports import (CheckReport, PreconditionError, agree, conclude,
                       first_failure, passing, require)
 from .scalars import norm
-from .tensor import StructureTensor, basis_tuples
+from .tensor import StructureTensor, basis_tuples, sort_with_sign
 
 logger = logging.getLogger("algcheck")
 
@@ -345,18 +345,75 @@ def thm42_condition(assoc: StructureTensor, p: LinearMap, lam, f: LinearForm,
                  "f,D bracket kernel condition and direct Rota-Baxter verdict")
 
 
-def _det3_elements(assoc, rows):
-    """3x3 determinant over a commutative algebra whose rows are triples of
-    ``contract`` slots, as the signed sum over the six permutations: each
-    product r1[a] r2[b] in a first ``contract``, then all six times r3[c]
-    in one more."""
+def _det_join(assoc: StructureTensor, rows) -> StructureTensor:
+    """The skew ternary bracket det(r1, r2, r3) over a commutative
+    associative algebra, where each row holds one sparse column per basis
+    index, built by one join of the rows through ``assoc.table``.
+
+    1. At a basis triple (x0, x1, x2) the determinant is Σ_σ sgn σ times
+       m(xσ0, xσ1, xσ2), where m(u, v, w) = (r1[u]·r2[v])·r3[w] is
+       trilinear: D1(x)·D2(y)·D3(z) for :func:`det_bracket_3`, and
+       x·D1(y)·D2(z) for :func:`det_bracket_2`, whose first row is the unit
+       columns.  So the bracket is the antisymmetrisation of m.
+    2. Its value at an ascending key k is therefore the sum of m(u, v, w)
+       over the ordered triples that sort to k, each times the sign of its
+       sort: (u, v, w) = (kσ0, kσ1, kσ2), and sorting it undoes σ, whose
+       sign is sgn σ.
+    3. A triple with a repeated index sorts to no ascending key and gets
+       nothing; every triple of distinct indices sorts to exactly one key.
+    4. m is built in that order: r1[u]·r2[v] through the table, then that
+       product times r3[w] through the table.  The table is read by first
+       index and the second and third rows are inverted (row index ->
+       columns), so each product visits only the table entries it
+       multiplies, and a key no nonzero product reaches costs nothing.
+
+    Keys are inserted in lex order, the order of ``basis_tuples``, so
+    ``entries`` and its ``repr`` do not depend on the order of the join.
+    """
+    d = assoc.dimension
+    first = [[] for _ in range(d)]
+    for (a, b), pairs in assoc.table.items():
+        first[a].append((b, pairs))
     r1, r2, r3 = rows
-    terms = []
-    for (a, b, c), sign in _PERMS3:
-        ab = support(assoc.contract((r1[a], r2[b])))
-        if ab:
-            terms.append((tuple((k, sign * x) for k, x in ab), r3[c]))
-    return assoc.contract(*terms)
+    inv2, inv3 = _inverted(r2, d), _inverted(r3, d)
+    acc = {}
+    for u, col in enumerate(r1):
+        for v, uv in _join(first, col, inv2, (u,)).items():
+            for w, uvw in _join(first, uv.items(), inv3, (u, v)).items():
+                key, sign = sort_with_sign((u, v, w))
+                out = acc.setdefault(key, [0] * d)
+                for k, c in uvw.items():
+                    out[k] += sign * c
+    return StructureTensor(3, d, "skew", {key: acc[key] for key in sorted(acc)})
+
+
+def _inverted(cols, d):
+    """Row index -> the (column, coefficient) pairs of sparse columns."""
+    inv = [[] for _ in range(d)]
+    for x, col in enumerate(cols):
+        for i, c in col:
+            inv[i].append((x, c))
+    return inv
+
+
+def _join(first, left, inv, skip):
+    """{x: the product of the sparse vector ``left`` and column x} over the
+    columns x not in ``skip``, each product as a k -> coefficient dict; the
+    table is ``first`` (first index -> (second index, pairs)) and the
+    columns are given inverted."""
+    out = {}
+    for a, p in left:
+        if not p:
+            continue
+        for b, pairs in first[a]:
+            for x, q in inv[b]:
+                if x in skip:
+                    continue
+                prod = out.setdefault(x, {})
+                c = p * q
+                for k, e in pairs:
+                    prod[k] = prod.get(k, 0) + c * e
+    return out
 
 
 def _det_preconditions(assoc, dmaps):
@@ -374,10 +431,8 @@ def det_bracket_2(assoc: StructureTensor, d1: LinearMap,
     """Ternary bracket det(rows: elements, D1-images, D2-images) from two
     commuting derivations of a commutative associative algebra."""
     _det_preconditions(assoc, (d1, d2))
-    c1, c2 = d1.sparse_cols, d2.sparse_cols
-    t = StructureTensor.from_function(
-        3, assoc.dimension, "skew", lambda key: _det3_elements(
-            assoc, (key, [c1[i] for i in key], [c2[i] for i in key])))
+    units = [((i, 1),) for i in range(assoc.dimension)]
+    t = _det_join(assoc, (units, d1.sparse_cols, d2.sparse_cols))
     conclude(check_n_jacobi(t), "two-derivation bracket: Jacobi identity")
     return t
 
@@ -387,10 +442,7 @@ def det_bracket_3(assoc: StructureTensor, d1: LinearMap, d2: LinearMap,
     """Ternary bracket det(D1-images, D2-images, D3-images) from three
     pairwise commuting derivations."""
     _det_preconditions(assoc, (d1, d2, d3))
-    cols = [m.sparse_cols for m in (d1, d2, d3)]
-    t = StructureTensor.from_function(
-        3, assoc.dimension, "skew", lambda key: _det3_elements(
-            assoc, [[c[i] for i in key] for c in cols]))
+    t = _det_join(assoc, [m.sparse_cols for m in (d1, d2, d3)])
     conclude(check_n_jacobi(t), "three-derivation bracket: Jacobi identity")
     return t
 

@@ -1,9 +1,23 @@
+import os
+import subprocess
+import sys
 from itertools import product as iproduct
+from pathlib import Path
 
 from algcheck.catalog import (catalog, catalog_names, euler_maps, get,
                               monomials, running_sum_map,
                               truncated_poly_product)
+from algcheck.files import dumps
 from algcheck.linalg import basis_vector
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+DUMP_CATALOG = """
+import sys
+from algcheck.catalog import catalog
+from algcheck.files import dumps
+sys.stdout.write("".join(dumps(alg) for alg in catalog()))
+"""
 
 # ------------------------------------------------------------- generators
 
@@ -105,3 +119,20 @@ def test_qt2_deg3_det2_matches_generator():
     rebuilt = det_bracket_2(alg.products["prod"], alg.maps["D1"],
                             alg.maps["D2"])
     assert rebuilt.entries == alg.products["det2"].entries
+
+
+def test_catalog_files_do_not_depend_on_the_hash_seed():
+    # every constructed product must store its keys in an order that no
+    # hash seed can change: the benchmark's set-up probe builds the catalog
+    # in a fresh interpreter
+    outs = []
+    for seed in ("0", "1"):
+        path = os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", DUMP_CATALOG], capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+            timeout=120, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0] == "".join(dumps(alg) for alg in catalog()).encode()

@@ -15,6 +15,7 @@ is moved, so that most draws fail, and not always at the first tuple.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product as iproduct
 
 from hypothesis import event, given, settings
@@ -171,8 +172,12 @@ def _unsymmetric(t):
         for key, pairs in t.table.items()})
 
 
-def _bases():
-    """Small products that satisfy some of the identities, by arity."""
+@lru_cache(maxsize=1)
+def bases():
+    """Small products that satisfy some of the identities, by arity.
+
+    Built on the first draw, not at import, so a construction that raises
+    here fails the tests that draw from it and stops no collection."""
     out = {2: [], 3: []}
     for alg in catalog():
         for t in alg.products.values():
@@ -186,7 +191,6 @@ def _bases():
     return out
 
 
-BASES = _bases()
 _scalars = st.one_of(st.integers(-2, 2),
                      st.fractions(min_value=-2, max_value=2, max_denominator=2))
 
@@ -204,7 +208,7 @@ def random_sparse(draw, arity):
 @st.composite
 def tensors(draw, arity):
     """A base or random product; in most draws one constant is moved."""
-    t = draw(st.one_of(st.sampled_from(BASES[arity]), random_sparse(arity)))
+    t = draw(st.one_of(st.sampled_from(bases()[arity]), random_sparse(arity)))
     keys = stored_keys(t.arity, t.dimension, t.symmetry)
     if not keys or draw(st.integers(0, 3)) == 0:  # moved in 3 of 4 draws
         return t

@@ -1,5 +1,10 @@
+import json
+from pathlib import Path
+
 from algcheck import selftest
 from algcheck.selftest import run_selftest
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def test_process_pool_gives_the_single_worker_lines(monkeypatch):
@@ -36,3 +41,17 @@ def test_pool_has_at_most_one_worker_per_job(monkeypatch):
     assert run_selftest(workers=5000) == serial
     assert run_selftest(workers=2) == serial
     assert sizes == [3, 2]
+
+
+def test_task_names_are_the_task_metrics_of_the_benchmark():
+    # the traced selftest of perfbench names each task "theorems.q4" from
+    # (_theorems_task, "q4") and stops unless it records every
+    # selftest.task.<name>.s metric that BENCHMARK.json lists, and no other
+    prefix, suffix = "selftest.task.", ".s"
+    metrics = json.loads(BENCHMARK.read_text(encoding="utf-8"))["per_layer"]
+    listed = [m["name"][len(prefix):-len(suffix)] for m in metrics
+              if m["name"].startswith(prefix)]
+    names = [f"{fn.__name__.strip('_').removesuffix('_task')}.{arg}"
+             for fn, arg in selftest.tasks()]
+    assert len(set(names)) == len(names)
+    assert sorted(names) == sorted(listed)

@@ -7,8 +7,9 @@ entries (values and scalar types, so ``repr`` too), and a rewritten
 condition must give the same report.
 """
 
+import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +17,8 @@ from hypothesis import strategies as st
 
 from algcheck.axioms import check_prelie
 from algcheck.catalog import get
-from algcheck.constructions import (_PERMS3, _cyclic, _det3_elements,
-                                    _fd_preconditions, _twisted,
-                                    cor33_condition, det_bracket_2,
+from algcheck.constructions import (_PERMS3, _cyclic, _fd_preconditions,
+                                    _twisted, cor33_condition, det_bracket_2,
                                     det_bracket_3, derived_prelie, f_bracket,
                                     fD_bracket, prelie_from_comm_assoc,
                                     thm32_condition, thm36_bracket,
@@ -193,6 +193,33 @@ def dense_fd_form_failure(assoc, f, dmap):
                 return ("form condition f(D(x)y) = f(xD(y)) fails at basis "
                         f"pair ({i}, {j})")
     return None
+
+
+def _det3_elements(assoc, rows):
+    """3x3 determinant over a commutative algebra whose rows are triples of
+    ``contract`` slots, as the signed sum over the six permutations: each
+    product r1[a] r2[b] in a first ``contract``, then all six times r3[c]
+    in one more."""
+    r1, r2, r3 = rows
+    terms = []
+    for (a, b, c), sign in _PERMS3:
+        ab = support(assoc.contract((r1[a], r2[b])))
+        if ab:
+            terms.append((tuple((k, sign * x) for k, x in ab), r3[c]))
+    return assoc.contract(*terms)
+
+
+def per_key_det_bracket(assoc, maps):
+    """The determinant bracket built one ascending key at a time, as
+    ``det_bracket_2`` (two maps, a first row of basis indices) and
+    ``det_bracket_3`` (three maps) built it before the join."""
+    cols = [m.sparse_cols for m in maps]
+
+    def value(key):
+        rows = [[c[i] for i in key] for c in cols]
+        return _det3_elements(assoc, ([key] if len(maps) == 2 else []) + rows)
+
+    return StructureTensor.from_function(3, assoc.dimension, "skew", value)
 
 
 def dense_det3(assoc, rows):
@@ -484,3 +511,97 @@ def test_det_brackets_match_the_dense_determinants():
     got = det_bracket_3(assoc, *maps_)
     assert got.entries  # not trivially equal
     assert_same_tensor(got, dense_det_bracket(assoc, maps_))
+
+
+# ------------------------------------------- the join against the per-key build
+
+
+def transported(assoc, maps, s):
+    """The product (x, y) -> S^-1 (Sx . Sy) and the maps S^-1 D S.
+
+    A derivation of the product conjugates to a derivation of the
+    transported one, and commuting maps stay commuting."""
+    s_inv = s.inverse()
+    prod = StructureTensor.from_function(
+        2, assoc.dimension, "symmetric",
+        lambda k: s_inv(assoc(s.cols[k[0]], s.cols[k[1]])))
+    return prod, [s_inv @ m @ s for m in maps]
+
+
+def same_as_per_key_build(assoc, maps):
+    bracket = det_bracket_2 if len(maps) == 2 else det_bracket_3
+    got = bracket(assoc, *maps)
+    assert_same_tensor(got, per_key_det_bracket(assoc, maps))
+    return got
+
+
+def _derivations(name):
+    alg = get(name)
+    return alg.products["prod"], [alg.maps[n] for n in sorted(alg.maps)]
+
+
+@pytest.mark.parametrize("name", ["qt2_deg3", "qt3_deg4"])
+def test_det_join_matches_the_per_key_build_in_every_map_order(name):
+    assoc, maps_ = _derivations(name)
+    stored = 0
+    for count in (2, 3):
+        for order in permutations(maps_, count):
+            stored += len(same_as_per_key_build(assoc, order).entries)
+    assert stored  # not trivially equal
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_det_join_matches_the_per_key_build_after_a_monomial_change(seed):
+    rng = random.Random(seed)
+    for name in ("qt2_deg3", "qt3_deg4"):
+        assoc, maps_ = _derivations(name)
+        d = assoc.dimension
+        perm = rng.sample(range(d), d)
+        scale = [rng.choice((1, -1, 2, Fraction(-1, 2))) for _ in range(d)]
+        s = LinearMap.from_cols([vec_scale(scale[i], basis_vector(d, perm[i]))
+                                 for i in range(d)])
+        prod, moved = transported(assoc, maps_, s)
+        rng.shuffle(moved)
+        for count in (2, 3):
+            if count <= len(moved):
+                same_as_per_key_build(prod, moved[:count])
+
+
+_combination_coeffs = st.sampled_from(
+    (0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)))
+
+
+@st.composite
+def conjugated_derivations(draw):
+    """Fraction combinations of a catalog algebra's commuting Euler
+    derivations, which are again pairwise-commuting derivations, moved
+    with the product by a unipotent integer S = Id + N, N strictly
+    triangular with a few nonzero entries."""
+    name = draw(st.sampled_from(["qt2_deg3", "qt3_deg4"]))
+    assoc, base = _derivations(name)
+    d = assoc.dimension
+    maps_ = []
+    # three combinations of two derivations give the zero bracket
+    for _ in range(draw(st.integers(2, len(base)))):
+        coeffs = draw(st.lists(_combination_coeffs, min_size=len(base),
+                               max_size=len(base)))
+        m = LinearMap.zero(d)
+        for c, dmap in zip(coeffs, base):
+            m = m + dmap.scaled(c)
+        maps_.append(m)
+    rows = [[int(i == j) for j in range(d)] for i in range(d)]
+    below = [(i, j) for i in range(d) for j in range(i)]
+    for i, j in draw(st.lists(st.sampled_from(below), min_size=1,
+                              max_size=6 if d > 10 else 12)):
+        rows[i][j] = draw(st.sampled_from([1, -1, 2]))
+    s = LinearMap.from_rows(rows)
+    if draw(st.booleans()):
+        s = LinearMap.from_cols(rows)  # upper unitriangular instead
+    prod, maps_ = transported(assoc, maps_, s)
+    return prod, maps_
+
+
+@settings(max_examples=25, deadline=None)
+@given(conjugated_derivations())
+def test_det_join_matches_the_per_key_build_on_conjugated_derivations(instance):
+    same_as_per_key_build(*instance)
