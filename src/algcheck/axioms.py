@@ -34,25 +34,15 @@ A term of a composition takes an inner source key J of the table, a nonzero
 coordinate c at v of its product, and an outer source key K with v in the
 slot of the inner product; it lands on the tuple whose positions J and K,
 less that slot, name, with the coefficient of the composition times c times
-the product of K.  The report is the per-tuple one because:
-
-1. *The difference at a tuple is exactly lhs - rhs there.*  Both sides and
-   the difference are read off the same compositions, so by construction
-   the terms landing on a tuple, with the coefficients of their
-   compositions, are the summands of lhs and rhs as ``_composed_side``
-   expands them over the same table.  Each is a product of two constants,
-   so with every constant made an integer by their common denominator q
-   the terms add up exactly to q**2 (lhs - rhs), which divided by q**2 is
-   lhs - rhs, zero iff the two sides are equal.
-2. *It is kept at the scanned tuples only.*  A term is dropped unless its
-   tuple rises inside every block as the scan's tuples do (strictly in a
-   ``skew`` block, weakly in a ``symmetric`` one, freely in ``none``), so
-   it is kept where the scan looks.
-3. *Its least nonzero tuple is the scan's first failure.*  The prefix is
-   the scan's first tuples in lex order and holds no failure.  That tuple
-   alone is handed to ``first_failure`` with the per-tuple sides, so the
-   report is the per-tuple report by construction; were those sides equal
-   there, ``agree`` would raise ``InternalConsistencyError``.
+the product of K.  The difference at a tuple is exactly lhs - rhs there:
+both sides and the difference are read off the same compositions, so by
+construction the terms landing on a tuple, with the coefficients of their
+compositions, are the summands of lhs and rhs as ``_composed_side``
+expands them over the same table.  Each is a product of two constants, so
+with every constant made an integer by their common denominator q the
+terms add up exactly to q**2 (lhs - rhs), which divided by q**2 is
+lhs - rhs, zero iff the two sides are equal.  ``decide`` shows why the
+report is then the per-tuple one.
 
 Degenerate dimensions 0 and 1 are legal; checks pass vacuously.
 """

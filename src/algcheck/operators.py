@@ -1,46 +1,27 @@
 """Weight-lambda operator identities: Rota-Baxter operators and derivations.
 
-Both families of identities are instances of one subset-expansion sum over
-the nonempty subsets I of the argument positions, weighted by
-``lambda**(|I|-1)``; they differ only in whether the map is applied to the
-positions inside I (derivation convention) or outside I (Rota-Baxter
-convention).  One private term builder serves :func:`subset_expansion` and
-``_basis_expansion``, which gives the expansion at each basis tuple from the
-map's sparse columns and the subset weights, set up once per map.  Both
-checkers and the derived and naive brackets (inheritance module) use it, so
-they cannot drift apart.  The two sides of the Rota-Baxter identity at a
-basis tuple are written once, in ``_rb_sides``, for
-:func:`check_rota_baxter`, the pruned grid search (search module) and the
-determinant expansion's table on the cube (constructions module).
+Both identities of a map M on an n-ary product t are stated once, as data,
+by :func:`_identity`: each side is a sum of terms coeff * t(...) with M
+applied to the arguments at the positions of a bitmask, the side's sum
+possibly pushed through M.  Their right sides are the same subset-expansion
+sum over the nonempty subsets I of the positions, weighted by
+lambda**(|I|-1); the Rota-Baxter rhs applies M outside I and pushes the
+sum, the derivation rhs applies M inside I.  Every reader takes the
+identity from that statement: the per-tuple sides (``_sides``, also used
+by the pruned grid search), :func:`subset_expansion`, the per-key values of
+the derived and naive brackets (``_basis_expansion``) and the sparse
+difference (``_least_difference``).
 
 Both checks report the first failure of the per-tuple scan over
-``tensor.basis_tuples``, but scan only a lex prefix of ``reports._PREFIX``
-tuples one by one, where most failures lie, and decide the rest from the
-sparse difference of the two sides (:func:`reports.decide`).  A term of
-either side takes a source key j of ``t.table`` and pulls some slots s back
-through the map M: it lands on the tuple i with i_s = j_s at the other
-slots and i_s with M[j_s, i_s] != 0 at those, times those entries.
-Rota-Baxter: the left side pulls every slot; the right side, for each
-nonempty subset I, pulls the slots outside I, weighs the term by
-lambda**(|I|-1) and pushes t[j] through M.  Derivation: the left side
-pushes t[j] through M and pulls no slot; the right side pulls exactly I,
-with the same weight.  The report is the per-tuple one because:
-
-1. *The difference at a tuple is exactly lhs - rhs there.*  The terms
-   landing on a tuple, with the sign of their side, are the summands of
-   lhs and rhs, and scalars are exact rationals, so they add up to
-   lhs - rhs, which is zero iff the two sides are equal.
-2. *It is kept at the scanned tuples only.*  A term is dropped as soon as
-   its partial tuple leaves the set ``basis_tuples`` yields for the
-   symmetry of the product (sorted for ``symmetric``, strictly ascending
-   for ``skew``, all for ``none``), so it is kept where the scan looks.
-3. *Its least nonzero tuple is the scan's first failure.*  The prefix is
-   the scan's first tuples in lex order and holds no failure.  That tuple
-   alone is handed to ``first_failure`` with the per-tuple sides, so the
-   report is the per-tuple report by construction; were those sides equal
-   there, ``agree`` would raise ``InternalConsistencyError``.
-
-With no nonzero difference a check passes with ``checked_count`` d**n.
+``tensor.basis_tuples``, scanning a prefix one by one and deciding the rest
+from the sparse difference of the two sides (:func:`reports.decide`).  A
+term takes a source key j of ``t.table`` and pulls its masked slots s back
+through M: it lands on the tuple i with i_s = j_s at the other slots and
+i_s with M[j_s, i_s] != 0 at those, times those entries, and t[j] pushed
+through M if its side is pushed.  The difference at a tuple is exactly
+lhs - rhs there: the terms landing on it, with rhs negated, are the
+summands of the two sides, and scalars are exact rationals.  With no
+nonzero difference a check passes with ``checked_count`` d**n.
 """
 
 from __future__ import annotations
@@ -72,81 +53,112 @@ class SubsetMode(enum.Enum):
     DIFF_CHECK = "diff_check"
 
 
-def _as_mode(mode) -> SubsetMode:
-    return mode if isinstance(mode, SubsetMode) else SubsetMode(mode)
-
-
 @lru_cache(maxsize=64)
-def _subset_weights(lam: Scalar, n: int):
-    """``(mask, lam**(|I|-1))`` for each nonempty subset I of n positions,
-    as a bitmask in increasing order, omitting zero weights (0**0 == 1).
-    Kept per (lam, n): a grid search sets up one check per candidate."""
+def _identity(lam: Scalar, n: int, rb: bool):
+    """The weight-``lam`` Rota-Baxter (``rb``) or derivation identity of a
+    map M on an n-ary product t, as ``(lhs, rhs)``.
+
+    A side is ``(pushed, terms)``: the sum over its terms ``(pulled,
+    coeff)`` of coeff * t(...) with M applied to the arguments at the
+    positions in the bitmask ``pulled``, pushed through M if ``pushed``.
+    The rhs has one term per nonempty subset I, in increasing bitmask
+    order, of weight lam**(|I|-1), zero weights omitted (0**0 == 1).
+    Rota-Baxter: t(M.., .., M..) = M(sum_I w_I t with M outside I).
+    Derivation: M(t(.., .., ..)) = sum_I w_I t with M inside I.
+    Kept per (lam, n, rb): a grid search sets up one check per candidate.
+    """
     powers = [None, 1]
     for _ in range(2, n + 1):
         powers.append(norm(powers[-1] * lam))
-    return tuple((mask, powers[mask.bit_count()]) for mask in range(1, 1 << n)
-                 if powers[mask.bit_count()] != 0)
+    full = (1 << n) - 1
+    weights = [(mask, powers[mask.bit_count()]) for mask in range(1, 1 << n)
+               if powers[mask.bit_count()] != 0]
+    if rb:
+        return ((False, ((full, 1),)),
+                (True, tuple((full ^ mask, w) for mask, w in weights)))
+    return (True, ((0, 1),)), (False, tuple(weights))
 
 
-def _expansion_terms(inside, outside, weights):
-    """The ``contract`` terms of one subset expansion: position i takes the
-    sparse slot ``inside[i]`` when it is in the subset, ``outside[i]``
-    otherwise, and the subset's weight scales the first slot."""
-    terms = []
-    for mask, coeff in weights:
-        slots = [inside[i] if mask >> i & 1 else outside[i]
-                 for i in range(len(inside))]
+def _slots(plain, imgs, terms):
+    """The ``contract`` terms of a side's ``terms``: position i takes the
+    sparse slot ``imgs[i]`` where the term pulls it, ``plain[i]`` (a basis
+    index or a sparse slot) otherwise, and the term's coefficient scales
+    the first slot."""
+    out = []
+    for pulled, coeff in terms:
+        slots = [imgs[i] if pulled >> i & 1 else plain[i]
+                 for i in range(len(plain))]
         if coeff != 1:
-            slots[0] = tuple((k, coeff * a) for k, a in slots[0])
-        terms.append(slots)
-    return terms
+            first = slots[0]
+            slots[0] = (((first, coeff),) if isinstance(first, int) else
+                        tuple((k, coeff * a) for k, a in first))
+        out.append(slots)
+    return out
 
 
 def subset_expansion(t: StructureTensor, m: LinearMap, lam, args, mode):
     """Sum over nonempty subsets I of lambda^(|I|-1) times the product with
-    the map applied per ``mode``."""
-    mode = _as_mode(mode)
+    the map applied per ``mode``: the rhs of the Rota-Baxter identity
+    before its push (``RB_HAT``) or of the derivation identity
+    (``DIFF_CHECK``)."""
+    rb = SubsetMode(mode) is SubsetMode.RB_HAT
     n = t.arity
     if len(args) != n:
         raise ArgumentError(f"expected {n} arguments, got {len(args)}")
     if m.dimension != t.dimension or any(len(a) != t.dimension for a in args):
         raise ArgumentError("dimension mismatch in subset expansion")
-    plain = [support(a) for a in args]
-    imgs = [support(m(a)) for a in args]
-    inside, outside = (imgs, plain) if mode is SubsetMode.DIFF_CHECK else (plain, imgs)
-    return t.contract(*_expansion_terms(inside, outside, _subset_weights(norm(lam), n)))
+    _, terms = _identity(norm(lam), n, rb)[1]
+    return t.contract(*_slots([support(a) for a in args],
+                              [support(m(a)) for a in args], terms))
 
 
-def _basis_expansion(t: StructureTensor, cols, lam, mode):
-    """``value(idx)``: the subset expansion at the basis tuple ``idx``, from
-    unit slots and the map's sparse columns ``cols``, with the weights set
-    up once.  It reads only the columns named in ``idx``, when called."""
+def _basis_sums(t: StructureTensor, cols, *sides):
+    """``sums(idx)``: the list of the sums of the ``terms`` of each side of
+    ``sides`` at the basis tuple ``idx``, before any push, from the indices
+    in ``idx`` and the map's sparse columns ``cols``.  It reads only the
+    columns in ``idx``, when called, so a caller may fill ``cols`` in as it
+    goes."""
     if len(cols) != t.dimension:
         raise ArgumentError("operator dimension does not match the tensor")
-    unit = [((i, 1),) for i in range(t.dimension)]
-    weights = _subset_weights(norm(lam), t.arity)
-    diff = mode is SubsetMode.DIFF_CHECK
 
-    def value(idx):
-        plain, imgs = [unit[i] for i in idx], [cols[i] for i in idx]
-        inside, outside = (imgs, plain) if diff else (plain, imgs)
-        return t.contract(*_expansion_terms(inside, outside, weights))
-    return value
+    def sums(idx):
+        imgs = [cols[i] for i in idx]
+        return [t.contract(*_slots(idx, imgs, terms)) for _, terms in sides]
+    return sums
 
 
-def _rb_sides(t: StructureTensor, cols, lam):
-    """``(value, sides)`` of the Rota-Baxter identity of the map with the
-    sparse columns ``cols``: ``value(idx)`` is the subset expansion at
-    ``idx``, and ``sides(idx, value(idx))`` is the pair (product of the
-    images, P of the expansion).  ``value`` reads the columns in ``idx``;
-    ``sides`` reads those and the columns in the support of the expansion.
-    Both read ``cols`` when called, so a caller may fill it in as it goes.
-    """
-    value = _basis_expansion(t, cols, lam, SubsetMode.RB_HAT)
+def _sides(t: StructureTensor, cols, lam, rb):
+    """``(sums, push)`` of :func:`_identity` for the map with the sparse
+    columns ``cols``: ``sums(idx)`` is the pair of sums of
+    :func:`_basis_sums`, and ``push(sums(idx))`` the pair of sides, which
+    reads the columns in the support of a pushed sum.  An unpushed lhs, the
+    product of the images, is normalised like ``StructureTensor.evaluate``;
+    every other side is as summed."""
+    (lpush, _), (rpush, _) = statement = _identity(norm(lam), t.arity, rb)
 
-    def sides(idx, v):
-        return vector(t.contract([cols[i] for i in idx])), apply_cols(cols, v)
-    return value, sides
+    def push(s):
+        lhs, rhs = s
+        return (apply_cols(cols, lhs) if lpush else vector(lhs),
+                apply_cols(cols, rhs) if rpush else rhs)
+    return _basis_sums(t, cols, *statement), push
+
+
+def _basis_expansion(t: StructureTensor, cols, lam, rb):
+    """``value(idx)``: the rhs sum of :func:`_identity` at the basis tuple
+    ``idx``, before its push: the subset expansion."""
+    sums = _basis_sums(t, cols, _identity(norm(lam), t.arity, rb)[1])
+    return lambda idx: sums(idx)[0]
+
+
+def _decide(name, t: StructureTensor, m: LinearMap, lam, rb) -> CheckReport:
+    """The report of the identity of ``m`` on ``t`` scanned over the basis
+    tuples keyed by the symmetry of ``t``, decided past the prefix from
+    ``_least_difference``."""
+    sums, push = _sides(t, m.sparse_cols, lam, rb)
+    return decide(name, t.dimension ** t.arity,
+                  basis_tuples(t.arity, t.dimension, t.symmetry),
+                  lambda idx: push(sums(idx)),
+                  lambda: _least_difference(t, m, lam, rb))
 
 
 def check_rota_baxter(t: StructureTensor, p: LinearMap, lam) -> CheckReport:
@@ -165,63 +177,41 @@ def check_rota_baxter(t: StructureTensor, p: LinearMap, lam) -> CheckReport:
     sign, so a tuple with a repeated index passes and one of distinct
     indices fails iff its ascending form fails.  Either way the first
     failure of the full scan is the least of its permutations, so it is
-    scanned, and it is reported with the same two sides.
-
-    Past the first ``reports._PREFIX`` tuples the scan is decided from the
-    sparse difference of the two sides (module docstring): at a tuple it is
-    exactly lhs - rhs, it is kept at the scanned tuples only, and since the
-    prefix holds no failure its least nonzero tuple is the first failure,
-    reported with the same two sides.
+    scanned, and it is reported with the same two sides.  Past the prefix
+    the scan is decided from the sparse difference (module docstring).
     """
-    value, sides = _rb_sides(t, p.sparse_cols, lam)
-    return decide("rota-baxter", t.dimension ** t.arity,
-                  basis_tuples(t.arity, t.dimension, t.symmetry),
-                  lambda idx: sides(idx, value(idx)),
-                  lambda: _least_difference(t, p, lam, True))
+    return _decide("rota-baxter", t, p, lam, True)
 
 
 def check_derivation(t: StructureTensor, dmap: LinearMap, lam) -> CheckReport:
     """Weight-lambda derivation identity of ``dmap`` on the product ``t``.
 
     d of a product must equal the subset expansion with d applied inside
-    each subset; weight 0 is the ordinary Leibniz rule.  The scan is that of
-    :func:`check_rota_baxter`, by the same argument: on a symmetric product
-    both sides are invariant under permuting the arguments, so only sorted
-    tuples are scanned, and on a skew one only strictly ascending tuples.
-    Past the same prefix it is decided the same way: the sparse difference
-    of d of the product and the expansion is exactly lhs - rhs at a tuple,
-    it is kept at the scanned tuples only, and since the prefix holds no
-    failure its least nonzero tuple is the first failure, reported with the
-    same two sides.
+    each subset; weight 0 is the ordinary Leibniz rule.  The scan, and its
+    decision past the prefix, is that of :func:`check_rota_baxter`, by the
+    same argument.
     """
-    value = _basis_expansion(t, dmap.sparse_cols, lam, SubsetMode.DIFF_CHECK)
-    return decide("derivation", t.dimension ** t.arity,
-                  basis_tuples(t.arity, t.dimension, t.symmetry),
-                  lambda idx: (dmap(t.basis_product(idx)), value(idx)),
-                  lambda: _least_difference(t, dmap, lam, False))
+    return _decide("derivation", t, dmap, lam, False)
 
 
 def _least_difference(t: StructureTensor, m: LinearMap, lam, rb: bool):
-    """``(key, lhs - rhs)`` at the least scanned tuple where the identity of
-    the map M = ``m`` has a nonzero difference, or ``None``; the terms are
-    those of the module docstring.
+    """``(key, lhs - rhs)`` at the least scanned tuple where the identity
+    ``_identity(lam, n, rb)`` of the map M = ``m`` has a nonzero
+    difference, or ``None``; its terms are the statement's, rhs negated.
 
     All terms landing on a tuple share its first index, so they are
     expanded one first index at a time, in increasing order, and the least
     nonzero tuple of the first index that has one is the least overall.
     A term pulling slot 0 onto the first index i starts at a source whose
-    first index j has M[j, i] != 0: column i of M.
+    first index j has M[j, i] != 0: column i of M.  A term is dropped as
+    soon as its partial tuple stops rising as the scanned tuples do
+    (``tensor.RISE``), so it is kept at the scanned tuples only.
     """
     n, d = t.arity, t.dimension
     cols, rows = m.sparse_cols, [support(row) for row in m.rows()]
-    full = (1 << n) - 1
-    weights = _subset_weights(norm(lam), n)
-    # (pulled slots, coefficient, pushed through M) of each term of lhs - rhs
-    if rb:
-        terms = [(full, 1, False)] + [(full ^ mask, -w, True)
-                                      for mask, w in weights]
-    else:
-        terms = [(0, 1, True)] + [(mask, -w, False) for mask, w in weights]
+    (lpush, lterms), (rpush, rterms) = _identity(norm(lam), n, rb)
+    terms = ([(pulled, c, lpush) for pulled, c in lterms]
+             + [(pulled, -c, rpush) for pulled, c in rterms])
     by_first = [[] for _ in range(d)]  # source keys by first index
     for key, pairs in t.table.items():
         pushed = [0] * d
@@ -303,5 +293,5 @@ def _nary_power(t: StructureTensor, n: int) -> StructureTensor:
         level = {key + (j,): prod for key, slot in level.items()
                  for j in range(d) if (prod := support(t.contract((slot, j))))}
     return StructureTensor(n, d, "none", {
-        key + (j,): t.contract((slot, j))
-        for key, slot in level.items() for j in range(d)})
+        key + (j,): prod for key, slot in level.items() for j in range(d)
+        if any(prod := t.contract((slot, j)))})

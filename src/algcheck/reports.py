@@ -115,12 +115,20 @@ def decide(name: str, checked: int, tuples, sides, least) -> CheckReport:
     by ``least()``.
 
     ``least()`` is ``(key, lhs - rhs)`` at the least tuple of ``tuples``
-    where the difference of the two sides is nonzero, or ``None``.  The
-    prefix, scanned one by one, holds no failure, so that tuple is the
-    scan's first failure.  It alone is handed to ``first_failure`` with
-    ``sides``, so the report is the scan's by construction; were those
-    sides equal there, :func:`agree` raises
-    :class:`InternalConsistencyError`.
+    where the difference of the two sides is nonzero, or ``None``.  Its
+    builder shows, in its own docstring, that the difference it adds up at
+    a tuple is exactly lhs - rhs there.  The report is then the scan's:
+
+    1. *The difference is kept at the scanned tuples only.*  A term is
+       dropped unless its tuple rises as the scan's tuples do (strictly in
+       a ``skew`` block, weakly in a ``symmetric`` one, freely in
+       ``none``), so a nonzero tuple is one the scan visits.
+    2. *Its least nonzero tuple is the scan's first failure.*  The prefix,
+       scanned one by one, is the scan's first tuples in lex order and holds
+       no failure.  That tuple alone is handed to ``first_failure`` with
+       ``sides``, so the report is the scan's by construction; were those
+       sides equal there, :func:`agree` raises
+       :class:`InternalConsistencyError`.
     """
     rep = first_failure(name, checked, islice(tuples, _PREFIX), sides)
     if not rep.passed or next(tuples, None) is None:

@@ -29,7 +29,7 @@ from itertools import product as iproduct
 from .algebra import Algebra
 from .constructions import _fd_rows
 from .linalg import LinearForm, LinearMap, nullspace, support
-from .operators import _rb_sides, check_rota_baxter
+from .operators import _sides, check_rota_baxter
 from .reports import ArgumentError, CheckReport, conclude, first_failure
 from .scalars import norm
 from .tensor import StructureTensor, basis_tuples
@@ -159,11 +159,13 @@ def _pruned_grid(t: StructureTensor, lam, entry_set, cap):
     ``iproduct(entry_set, repeat=d)``.  The last entry varies fastest, so
     this is the grid's order, and the node fixing column k heads a block of
     |E|**(d*(d-1-k)) consecutive points.  At a basis tuple ``idx`` of
-    ``basis_tuples`` for the product's symmetry, ``value(idx)`` reads the
-    columns in ``idx``, and ``sides`` reads those and the columns in the
-    support of ``value(idx)`` (``operators._rb_sides``).  The largest of
-    these indices, top(idx), is the column that decides the tuple: its value
-    is computed at column max(idx), then it waits in ``due[top(idx)]``.
+    ``basis_tuples`` for the product's symmetry, the two sums of the
+    Rota-Baxter statement, ``sums(idx)`` (``operators._sides``), read the
+    columns in ``idx``; pushing them reads those and the columns in the
+    support of the rhs sum, the one side the statement pushes.  The largest
+    of these indices, top(idx), is the column that decides the tuple: its
+    sums are computed at column max(idx), then they wait in
+    ``due[top(idx)]``.
 
     *A skipped block holds no passing point.*  A node is skipped only when a
     tuple decided at it fails.  Every point of its block agrees with the node
@@ -178,25 +180,25 @@ def _pruned_grid(t: StructureTensor, lam, entry_set, cap):
     """
     d = t.dimension
     cols, dense = [None] * d, [None] * d  # the columns fixed so far
-    value, sides = _rb_sides(t, cols, lam)
+    sums, push = _sides(t, cols, lam, True)
     by_max = [[] for _ in range(d)]
     for idx in basis_tuples(t.arity, d, t.symmetry):
         by_max[max(idx)].append(idx)
-    due = [[] for _ in range(d)]  # (idx, value(idx)) by deciding column
+    due = [[] for _ in range(d)]  # sums(idx) by deciding column
     block = [len(entry_set) ** (d * (d - 1 - k)) for k in range(d)]
 
     def passes(k):
         # the tuples waiting for column k, then those whose own columns end
         # at k, each evaluated as soon as it is decided
-        if any(lhs != rhs for lhs, rhs in (sides(*e) for e in due[k])):
+        if any(lhs != rhs for lhs, rhs in map(push, due[k])):
             return False
         for idx in by_max[k]:
-            v = value(idx)
-            top = next((i for i in range(d - 1, k, -1) if v[i]), k)
+            s = sums(idx)
+            top = next((i for i in range(d - 1, k, -1) if s[1][i]), k)
             if top > k:
-                due[top].append((idx, v))
+                due[top].append(s)
             else:
-                lhs, rhs = sides(idx, v)
+                lhs, rhs = push(s)
                 if lhs != rhs:
                     return False
         return True

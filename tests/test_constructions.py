@@ -5,11 +5,12 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from algcheck import constructions
 from algcheck.axioms import check_n_jacobi, check_prelie
 from algcheck.catalog import (componentwise_product, euler_maps, get,
                               monomials, running_sum_map,
                               truncated_poly_product)
-from algcheck.constructions import (_cyclic_condition, _det_rb_scan,
+from algcheck.constructions import (_cyclic_condition,
                                     cor33_condition, det_bracket_2,
                                     det_bracket_3, det_rb_expansion_check,
                                     derived_prelie, f_bracket, fD_bracket,
@@ -21,7 +22,8 @@ from algcheck.constructions import (_cyclic_condition, _det_rb_scan,
 from algcheck.linalg import (LinearForm, LinearMap, basis_vector, vec_add,
                              vec_is_zero, vec_scale, vec_sub, zero_vector)
 from algcheck.operators import check_rota_baxter
-from algcheck.reports import PreconditionError, failing, passing
+from algcheck.reports import (InternalConsistencyError, PreconditionError,
+                              failing, passing)
 from algcheck.scalars import norm
 from algcheck.tensor import StructureTensor, stored_keys
 
@@ -363,14 +365,14 @@ def non_rb_instances(draw, names):
 
 @settings(max_examples=40, deadline=None)
 @given(non_rb_instances(["q3", "q4"]))
-def test_det_rb_scan_matches_the_full_column_scan(instance):
+def test_det_rb_expansion_check_refuses_maps_that_are_not_rota_baxter(instance):
+    # the check's precondition names the first failure of the Rota-Baxter
+    # identity on the algebra; it decides no such draw
     assoc, p, lam = instance
-    got = _det_rb_scan(assoc, p, lam)
-    want = full_det_rb_scan(assoc, p, lam)
-    # P is not Rota-Baxter, and the identity fails on most such draws
-    event(f"identity {want.verdict}")
-    assert got == want
-    assert got.checked_count == assoc.dimension ** 9
+    first = check_rota_baxter(assoc, p, lam).counterexample.indices
+    with pytest.raises(PreconditionError) as exc:
+        det_rb_expansion_check(assoc, p, lam)
+    assert str(exc.value) == f"Rota-Baxter identity fails at basis tuple {first}"
 
 
 @st.composite
@@ -423,15 +425,35 @@ def pulled_back_instances(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(pulled_back_instances())
-def test_det_rb_scan_matches_the_full_scan_on_pulled_back_algebras(instance):
+def test_det_rb_expansion_check_matches_the_full_scan_on_pulled_back_algebras(
+        instance):
     kind, assoc, p, lam = instance
-    got = _det_rb_scan(assoc, p, lam)
-    want = full_det_rb_scan(assoc, p, lam)
-    event(f"{kind}: identity {want.verdict}")
-    assert got == want
+    rb = check_rota_baxter(assoc, p, lam).passed
+    event(f"{kind}: {'rota-baxter' if rb else 'not rota-baxter'}")
     # a Rota-Baxter operator on the algebra is one on its cube, so the
-    # expansion holds
-    assert want.passed or kind != "rota-baxter"
+    # expansion holds, and the full scan agrees; any other map is refused
+    assert rb or kind != "rota-baxter"
+    if not rb:
+        with pytest.raises(PreconditionError):
+            det_rb_expansion_check(assoc, p, lam)
+        return
+    got, want = det_rb_expansion_check(assoc, p, lam), full_det_rb_scan(
+        assoc, p, lam)
+    assert want.passed and got == want
+
+
+@pytest.mark.parametrize("name", ["q3", "q4"])
+def test_det_rb_expansion_check_rejects_a_forged_cube(name, monkeypatch):
+    # the expansion is decided by the Rota-Baxter identity on the cube,
+    # which the theorem makes unconditional; a cube moved in one entry
+    # breaks it, and that is an internal error, not a failed check
+    alg = get(name)
+    real = constructions.nary_from_associative
+    monkeypatch.setattr(constructions, "nary_from_associative",
+                        lambda t, n: _perturbed(real(t, n), (2, 2, 2), 1, 1))
+    with pytest.raises(InternalConsistencyError,
+                       match="cube of the algebra: Rota-Baxter identity fails"):
+        det_rb_expansion_check(alg.products["prod"], alg.maps["P"], 1)
 
 
 def full_cyclic_scan(name, d, expr, kmap=None):

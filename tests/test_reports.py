@@ -8,6 +8,8 @@ that agree read as different.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 
@@ -89,88 +91,93 @@ def ternary(t):
     return t.arity == 3
 
 
-def besides(u):
-    """Every tensor but the input ``u``: the ones a theorem builds."""
-    return lambda t: t is not u
+def besides(name):
+    """Every tensor but the input ``name``: the ones a theorem builds."""
+    return lambda t: t is not getattr(inputs(), name)
 
 
-HL = get("heisenberg_line")
-LIE, P, F = HL.products["bracket"], HL.maps["P"], HL.forms["f"]
-LTS = inheritance.lts_from_lie(LIE)
-A4, D = get("a4").products["bracket"], get("a4").maps["D"]
-QT4 = get("qt4")
-PRELIE, P0, PROD, QD, QF = (QT4.products["prelie"], QT4.maps["P0"],
-                            QT4.products["prod"], QT4.maps["D"], QT4.forms["f"])
-QT2 = get("qt2_deg3")
+@lru_cache(maxsize=None)
+def inputs():
+    """The catalog inputs of the sites, built on first use, so that a
+    construction that raises fails the tests that use it, not collection."""
+    hl, a4, qt4 = get("heisenberg_line"), get("a4"), get("qt4")
+    lie = hl.products["bracket"]
+    return SimpleNamespace(
+        LIE=lie, P=hl.maps["P"], F=hl.forms["f"],
+        LTS=inheritance.lts_from_lie(lie),
+        A4=a4.products["bracket"], D=a4.maps["D"],
+        PRELIE=qt4.products["prelie"], P0=qt4.maps["P0"],
+        PROD=qt4.products["prod"], QD=qt4.maps["D"], QF=qt4.forms["f"],
+        QT2=get("qt2_deg3"))
 
 # (module, check it re-verifies with, tensors flipped, theorem, its name)
 CONCLUSIONS = {
     "f_bracket": (
         constructions, "check_n_jacobi", every,
-        lambda: constructions.f_bracket(LIE, F), "f-bracket: Jacobi"),
+        lambda x: constructions.f_bracket(x.LIE, x.F), "f-bracket: Jacobi"),
     "thm36_bracket": (
         constructions, "check_n_jacobi", every,
-        lambda: constructions.thm36_bracket(PRELIE, P0, QF),
+        lambda x: constructions.thm36_bracket(x.PRELIE, x.P0, x.QF),
         "pre-Lie ternary bracket: Jacobi"),
     "fD_bracket": (
         constructions, "check_n_jacobi", every,
-        lambda: constructions.fD_bracket(PROD, QF, QD),
+        lambda x: constructions.fD_bracket(x.PROD, x.QF, x.QD),
         "f,D determinant bracket: Jacobi"),
     "det_bracket_2": (
         constructions, "check_n_jacobi", every,
-        lambda: constructions.det_bracket_2(
-            QT2.products["prod"], QT2.maps["D1"], QT2.maps["D2"]),
+        lambda x: constructions.det_bracket_2(
+            x.QT2.products["prod"], x.QT2.maps["D1"], x.QT2.maps["D2"]),
         "two-derivation bracket: Jacobi"),
     "det_bracket_3": (
         constructions, "check_n_jacobi", every,
-        lambda: constructions.det_bracket_3(truncated_poly_product(3, 2),
-                                            *euler_maps(3, 2)),
+        lambda x: constructions.det_bracket_3(truncated_poly_product(3, 2),
+                                              *euler_maps(3, 2)),
         "three-derivation bracket: Jacobi"),
     "prelie_from_comm_assoc": (
         constructions, "check_prelie", every,
-        lambda: constructions.prelie_from_comm_assoc(PROD, QD),
+        lambda x: constructions.prelie_from_comm_assoc(x.PROD, x.QD),
         "x.D(y) product: pre-Lie"),
     "derived_prelie": (
-        constructions, "check_prelie", besides(PRELIE),
-        lambda: constructions.derived_prelie(PRELIE, P0, 0),
+        constructions, "check_prelie", besides("PRELIE"),
+        lambda x: constructions.derived_prelie(x.PRELIE, x.P0, 0),
         "weight-0 derived pre-Lie product: pre-Lie"),
     "derived_nbracket-jacobi": (
-        inheritance, "check_n_jacobi", besides(A4),
-        lambda: inheritance.derived_nbracket(A4, D, 0),
+        inheritance, "check_n_jacobi", besides("A4"),
+        lambda x: inheritance.derived_nbracket(x.A4, x.D, 0),
         "derived bracket: Jacobi"),
     "derived_nbracket-rb": (
-        inheritance, "check_rota_baxter", besides(A4),
-        lambda: inheritance.derived_nbracket(A4, D, 0),
+        inheritance, "check_rota_baxter", besides("A4"),
+        lambda x: inheritance.derived_nbracket(x.A4, x.D, 0),
         "derived bracket: Rota-Baxter"),
     "check_derivation_transfer": (
-        inheritance, "check_derivation", besides(A4),
-        lambda: inheritance.check_derivation_transfer(A4, D, 0, D),
+        inheritance, "check_derivation", besides("A4"),
+        lambda x: inheritance.check_derivation_transfer(x.A4, x.D, 0, x.D),
         "derivation transfer to the derived bracket"),
     "cor53_bracket": (
-        inheritance, "check_derivation", besides(A4),
-        lambda: inheritance.cor53_bracket(A4, D, 0),
+        inheritance, "check_derivation", besides("A4"),
+        lambda x: inheritance.cor53_bracket(x.A4, x.D, 0),
         "conjugated bracket: derivation"),
     # flipping every ternary verdict also skips the conclusions of the
     # inner derived_nbracket, whose input then reads as not Rota-Baxter
     "cor54_bracket": (
         inheritance, "check_rota_baxter", ternary,
-        lambda: inheritance.cor54_bracket(LIE, P, 0, F),
+        lambda x: inheritance.cor54_bracket(x.LIE, x.P, 0, x.F),
         "explicit derived f-bracket: Rota-Baxter"),
     "lts_from_lie": (
         inheritance, "check_lts", every,
-        lambda: inheritance.lts_from_lie(LIE),
+        lambda x: inheritance.lts_from_lie(x.LIE),
         "Lie triple system of a Lie algebra"),
     "check_rb_lts_transfer": (
         inheritance, "check_rota_baxter", ternary,
-        lambda: inheritance.check_rb_lts_transfer(LIE, P, 0),
+        lambda x: inheritance.check_rb_lts_transfer(x.LIE, x.P, 0),
         "induced Lie triple system: Rota-Baxter"),
     "derived_lts_bracket-axioms": (
-        inheritance, "check_lts", besides(LTS),
-        lambda: inheritance.derived_lts_bracket(LTS, P, 0),
+        inheritance, "check_lts", besides("LTS"),
+        lambda x: inheritance.derived_lts_bracket(x.LTS, x.P, 0),
         "derived Lie triple system: axioms"),
     "derived_lts_bracket-rb": (
-        inheritance, "check_rota_baxter", besides(LTS),
-        lambda: inheritance.derived_lts_bracket(LTS, P, 0),
+        inheritance, "check_rota_baxter", besides("LTS"),
+        lambda x: inheritance.derived_lts_bracket(x.LTS, x.P, 0),
         "derived Lie triple system: Rota-Baxter"),
 }
 
@@ -178,20 +185,20 @@ CONCLUSIONS = {
 AGREEMENTS = {
     "thm32_condition": (
         constructions, "check_rota_baxter", ternary,
-        lambda: constructions.thm32_condition(LIE, P, 0, F),
+        lambda x: constructions.thm32_condition(x.LIE, x.P, 0, x.F),
         "f-bracket kernel condition"),
     "thm36_rb_condition": (
         constructions, "check_rota_baxter", ternary,
-        lambda: constructions.thm36_rb_condition(PRELIE, P0, QF),
+        lambda x: constructions.thm36_rb_condition(x.PRELIE, x.P0, x.QF),
         "pre-Lie ternary bracket P^2 vanishing condition"),
     "thm42_condition": (
         constructions, "check_rota_baxter", ternary,
-        lambda: constructions.thm42_condition(PROD, LinearMap.zero(4), 0, QF,
-                                              QD),
+        lambda x: constructions.thm42_condition(x.PROD, LinearMap.zero(4), 0,
+                                                x.QF, x.QD),
         "f,D bracket kernel condition"),
     "check_duality": (
         operators, "check_derivation", every,
-        lambda: operators.check_duality(A4, D, 0),
+        lambda x: operators.check_duality(x.A4, x.D, 0),
         "Rota-Baxter/derivation-of-inverse duality"),
 }
 
@@ -199,7 +206,7 @@ AGREEMENTS = {
 @pytest.mark.parametrize("site", sorted({**CONCLUSIONS, **AGREEMENTS}))
 def test_every_site_holds_on_its_input(site):
     *_, run, _ = {**CONCLUSIONS, **AGREEMENTS}[site]
-    run()
+    run(inputs())
 
 
 @pytest.mark.parametrize("site", sorted(CONCLUSIONS))
@@ -207,7 +214,7 @@ def test_a_failed_conclusion_names_the_theorem_and_the_tuple(site, monkeypatch):
     module, check, on, run, theorem = CONCLUSIONS[site]
     flip(monkeypatch, module, check, on)
     with pytest.raises(InternalConsistencyError) as exc:
-        run()
+        run(inputs())
     assert str(exc.value).startswith(theorem)
     assert f"fails at basis tuple {WITNESS}" in str(exc.value)
 
@@ -217,7 +224,7 @@ def test_differing_verdicts_name_the_theorem_and_both(site, monkeypatch):
     module, check, on, run, theorem = AGREEMENTS[site]
     flip(monkeypatch, module, check, on)
     with pytest.raises(InternalConsistencyError) as exc:
-        run()
+        run(inputs())
     message = str(exc.value)
     assert message.startswith(theorem)
     assert " pass" in message and " fail" in message
@@ -229,30 +236,32 @@ def test_differing_verdicts_name_the_theorem_and_both(site, monkeypatch):
 PRECONDITIONS = {
     "require-lie": (
         PreconditionError,
-        lambda: constructions.f_bracket(get("q3").products["prod"],
-                                        LinearForm((0, 0, 0))),
+        lambda x: constructions.f_bracket(get("q3").products["prod"],
+                                          LinearForm((0, 0, 0))),
         "Lie axioms fails at basis tuple (0, 0)"),
     "require-rb": (
         PreconditionError,
-        lambda: constructions.derived_prelie(PRELIE, LinearMap.identity(4), 0),
+        lambda x: constructions.derived_prelie(x.PRELIE, LinearMap.identity(4),
+                                               0),
         "Rota-Baxter identity fails at basis tuple (0, 1)"),
     "require_skew": (
-        ArgumentError, lambda: check_n_jacobi(get("q3").products["prod"]),
+        ArgumentError, lambda x: check_n_jacobi(get("q3").products["prod"]),
         "tensor is not skew-symmetric (violation at basis tuple (0, 0))"),
     "nary_power": (
-        PreconditionError, lambda: operators.nary_from_associative(PRELIE, 3),
+        PreconditionError,
+        lambda x: operators.nary_from_associative(x.PRELIE, 3),
         "product is not associative (violation at basis triple (0, 0, 1))"),
     # diag(1, 1, 1/2, 0) is Rota-Baxter of weight 0 on [e1, e2] = e3, and
     # P[P e1, P e2] = e3/2 is not zero
     "cor54_preconditions": (
         PreconditionError,
-        lambda: inheritance.cor54_bracket(
-            LIE, LinearMap.diagonal([1, 1, Fraction(1, 2), 0]), 0, F),
+        lambda x: inheritance.cor54_bracket(
+            x.LIE, LinearMap.diagonal([1, 1, Fraction(1, 2), 0]), 0, x.F),
         "kernel condition fails at basis triple (0, 1, 3)"),
     "derived_prelie-nonzero-weight": (
         PreconditionError,
-        lambda: constructions.derived_prelie(PRELIE, LinearMap.scalar(4, -1),
-                                             1),
+        lambda x: constructions.derived_prelie(x.PRELIE,
+                                               LinearMap.scalar(4, -1), 1),
         "derived product is not pre-Lie at this nonzero weight "
         "(violation at basis triple (0, 1, 0))"),
 }
@@ -262,6 +271,6 @@ PRECONDITIONS = {
 def test_precondition_messages_are_as_recorded(site):
     error, run, message = PRECONDITIONS[site]
     with pytest.raises(error) as exc:
-        run()
+        run(inputs())
     assert type(exc.value) is error
     assert str(exc.value) == message
