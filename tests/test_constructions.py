@@ -10,10 +10,10 @@ from algcheck.axioms import check_n_jacobi, check_prelie
 from algcheck.catalog import (componentwise_product, euler_maps, get,
                               monomials, running_sum_map,
                               truncated_poly_product)
-from algcheck.constructions import (_cyclic_condition,
-                                    cor33_condition, det_bracket_2,
-                                    det_bracket_3, det_rb_expansion_check,
-                                    derived_prelie, f_bracket, fD_bracket,
+from algcheck.constructions import (_cyclic_condition, cor33_condition,
+                                    det_bracket_2, det_bracket_3,
+                                    det_rb_expansion_check, derived_prelie,
+                                    f_bracket, fD_bracket,
                                     fd_bracket_value_forms,
                                     prelie_from_comm_assoc, thm32_condition,
                                     thm35_f_condition, thm36_bracket,
