@@ -7,6 +7,17 @@ their duality, and executes the bracket constructions that transport these
 structures (f-brackets, determinant brackets, derived brackets), with every
 theorem hypothesis machine-checked and every unconditional conclusion
 re-verified.
+
+``import algcheck`` loads only what :func:`catalog` and the checks need.
+The modules ``files`` (with ``json``), ``inheritance`` and ``selftest``
+load on first use: the first read of one of their exported names, or of
+the module itself, imports it (``__getattr__``, PEP 562) and keeps the
+value here.  ``search`` and ``catalog`` stay eager because each function
+shadows its own submodule.  The first import of a submodule binds the
+module on the package: were ``search`` loaded on first use, ``import
+algcheck.search`` would leave ``algcheck.search`` the module.  Loaded
+here, the function is bound over the module, and later imports of the
+submodule leave it.
 """
 
 from .algebra import Algebra, OperatorClaim
@@ -21,11 +32,6 @@ from .constructions import (cor33_condition, det_bracket_2, det_bracket_3,
                             thm35_f_condition, thm36_bracket,
                             thm36_f_condition, thm36_rb_condition,
                             thm42_condition)
-from .files import dumps, load, loads, save, save_report
-from .inheritance import (check_derivation_transfer, check_rb_lts_transfer,
-                          cor53_bracket, cor54_bracket, cor54_bracket_literal,
-                          cor55_bracket, derived_lts_bracket,
-                          derived_nbracket, lts_from_lie, naive_bracket)
 from .linalg import (LinearForm, LinearMap, basis_vector, kernel_basis,
                      kernel_membership, maps_commute, nullspace, vector)
 from .operators import (SubsetMode, check_derivation, check_duality,
@@ -36,8 +42,39 @@ from .reports import (ArgumentError, CheckReport, Counterexample,
                       PreconditionError)
 from .scalars import Scalar, format_rational, parse_rational, rational
 from .search import SearchResult, SearchSpec, search
-from .selftest import run_selftest
 from .tensor import (StructureTensor, basis, skew_from_values, sort_with_sign,
                      stored_keys, tensors_equal)
 
 __version__ = "1.0.0"
+
+# the exported names of the modules loaded on first use, by module
+_LAZY = {
+    "files": ("dumps", "load", "loads", "save", "save_report"),
+    "inheritance": ("check_derivation_transfer", "check_rb_lts_transfer",
+                    "cor53_bracket", "cor54_bracket", "cor54_bracket_literal",
+                    "cor55_bracket", "derived_lts_bracket", "derived_nbracket",
+                    "lts_from_lie", "naive_bracket"),
+    "selftest": ("run_selftest",),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+# as when every module loaded eagerly: each public name bound here, the
+# submodules included, and each module loaded on first use with its names
+__all__ = sorted({name for name in globals() if not name.startswith("_")}
+                 | set(_LAZY) | set(_HOME))
+
+
+def __getattr__(name):
+    module = _HOME.get(name, name)
+    if module not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = import_module(f".{module}", __name__)
+    if module != name:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

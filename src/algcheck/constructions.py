@@ -12,8 +12,6 @@ makes equivalent.
 
 from __future__ import annotations
 
-import logging
-
 from .axioms import (check_associative, check_commutative, check_lie,
                      check_n_jacobi, check_prelie, check_skew_symmetric,
                      commutator)
@@ -25,8 +23,6 @@ from .reports import (CheckReport, PreconditionError, agree, conclude,
                       first_failure, passing, require)
 from .scalars import norm
 from .tensor import StructureTensor, basis_tuples, sort_with_sign
-
-logger = logging.getLogger("algcheck")
 
 _PERMS3 = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
            ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1))
@@ -152,7 +148,9 @@ def cor33_condition(lie: StructureTensor, p: LinearMap,
     except PreconditionError:
         other = None  # P not Rota-Baxter on the Lie bracket; nothing to compare
     if other is not None and other.passed != report.passed:
-        logger.warning(
+        # imported here: no other path logs, and the import costs start-up
+        import logging
+        logging.getLogger("algcheck").warning(
             "Ker P^2 reading and weight-0 kernel-condition reading disagree "
             "(kerP2=%s, kernel-condition=%s); the two stated forms of the "
             "corollary separate on this instance", report.verdict, other.verdict)

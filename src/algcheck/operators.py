@@ -32,7 +32,7 @@ from functools import lru_cache
 from .axioms import check_associative
 from .linalg import LinearMap, apply_cols, maps_commute, support, vector
 from .reports import (ArgumentError, CheckReport, PreconditionError, agree,
-                      decide, passing)
+                      decide, failing, passing)
 from .scalars import Scalar, norm
 from .tensor import RISE, StructureTensor, basis_tuples
 
@@ -131,14 +131,13 @@ def _sides(t: StructureTensor, cols, lam, rb):
     """``(sums, push)`` of :func:`_identity` for the map with the sparse
     columns ``cols``: ``sums(idx)`` is the pair of sums of
     :func:`_basis_sums`, and ``push(sums(idx))`` the pair of sides, which
-    reads the columns in the support of a pushed sum.  An unpushed lhs, the
-    product of the images, is normalised like ``StructureTensor.evaluate``;
-    every other side is as summed."""
+    reads the columns in the support of a pushed sum.  Both sides are as
+    summed: scalars are exact, so they compare by value."""
     (lpush, _), (rpush, _) = statement = _identity(norm(lam), t.arity, rb)
 
     def push(s):
         lhs, rhs = s
-        return (apply_cols(cols, lhs) if lpush else vector(lhs),
+        return (apply_cols(cols, lhs) if lpush else lhs,
                 apply_cols(cols, rhs) if rpush else rhs)
     return _basis_sums(t, cols, *statement), push
 
@@ -153,12 +152,19 @@ def _basis_expansion(t: StructureTensor, cols, lam, rb):
 def _decide(name, t: StructureTensor, m: LinearMap, lam, rb) -> CheckReport:
     """The report of the identity of ``m`` on ``t`` scanned over the basis
     tuples keyed by the symmetry of ``t``, decided past the prefix from
-    ``_least_difference``."""
+    ``_least_difference``.  An unpushed lhs, the product of the images, is
+    reported normalised like ``StructureTensor.evaluate``; every other side
+    is reported as summed."""
     sums, push = _sides(t, m.sparse_cols, lam, rb)
-    return decide(name, t.dimension ** t.arity,
-                  basis_tuples(t.arity, t.dimension, t.symmetry),
-                  lambda idx: push(sums(idx)),
-                  lambda: _least_difference(t, m, lam, rb))
+    rep = decide(name, t.dimension ** t.arity,
+                 basis_tuples(t.arity, t.dimension, t.symmetry),
+                 lambda idx: push(sums(idx)),
+                 lambda: _least_difference(t, m, lam, rb))
+    (lpush, _), _ = _identity(norm(lam), t.arity, rb)
+    if rep.passed or lpush:
+        return rep
+    cx = rep.counterexample
+    return failing(name, rep.checked_count, cx.indices, vector(cx.lhs), cx.rhs)
 
 
 def check_rota_baxter(t: StructureTensor, p: LinearMap, lam) -> CheckReport:

@@ -14,7 +14,6 @@ named by strings, so results are deterministic regardless of worker count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 from . import files
 from .catalog import catalog_names, get as catalog_get
@@ -213,6 +212,9 @@ def run_selftest(workers=None):
         workers = int(os.environ.get("ALGCHECK_WORKERS", "1"))
     jobs = tasks()
     if workers > 1:
+        # imported here: a serial run needs no pool, and its modules are
+        # slow to import
+        from concurrent.futures import ProcessPoolExecutor
         # a forking pool starts all its workers at once: no more than jobs
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             batches = list(pool.map(_run, jobs))

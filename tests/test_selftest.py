@@ -35,7 +35,7 @@ def test_pool_has_at_most_one_worker_per_job(monkeypatch):
 
     jobs = [(selftest._roundtrip_task, name) for name in ("q3", "a4", "q4")]
     monkeypatch.setattr(selftest, "tasks", lambda: jobs)
-    monkeypatch.setattr(selftest, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     serial = run_selftest(workers=1)
     assert sizes == []
     assert run_selftest(workers=5000) == serial
