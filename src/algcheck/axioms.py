@@ -39,25 +39,52 @@ both sides and the difference are read off the same compositions, so by
 construction the terms landing on a tuple, with the coefficients of their
 compositions, are the summands of lhs and rhs as ``_composed_side``
 expands them over the same table.  Each is a product of two constants, so
-with every constant made an integer by their common denominator q the
-terms add up exactly to q**2 (lhs - rhs), which divided by q**2 is
+with every constant made an integer by their common denominator q (the
+table scaled once per tensor and kept on it, ``tensor.integer_table``)
+the terms add up exactly to q**2 (lhs - rhs), which divided by q**2 is
 lhs - rhs, zero iff the two sides are equal.  ``decide`` shows why the
-report is then the per-tuple one.
+report is then the per-tuple one, given the two facts below.
+
+*The least nonzero code is the least nonzero tuple.*  A term landing on
+the tuple idx of length L at the coordinate k of the difference is added
+under the int code sum_p idx[p] d**(L-p) + k.  Its base-d digits are idx
+then k, each below d, so distinct landings have distinct codes and codes
+are ordered as the pairs (idx, k) are, lexicographically.  The least code
+with a nonzero sum therefore names the least tuple with a nonzero
+difference, which ``decide`` needs (its step 2).  J and K name disjoint
+positions, so a code is J's part plus K's part plus k, each part summed
+once per key.
+
+*The terms kept are those that rise.*  A term is kept iff its tuple rises
+as the scanned tuples do (``decide``, step 1).  Of J and K, the one
+naming position 0 drives and the other is its partner.  A rise inside
+one key is tested once per key.  A rise across them bounds one entry of
+the partner: from below by an entry of the driver plus the rise, or from
+above by an entry of the driver less the rise.  The partners under each
+v are sorted by the entry the first cross rise bounds, so those meeting
+every rise on that entry are one contiguous range, found by bisection; a
+cross rise on any other entry is tested per pair.  In every composition
+here the cross rises bound one entry at most.  For n-Jacobi, in the rhs
+term i > 0 it is the x_i of the inner key, between x_(i-1) and x_(i+1)
+of the outer key, in term 0 the x_1 of the outer key, and the lhs has
+none (xs and ys are separate blocks).  For the Lie and pre-Lie
+identities it is the partner's entry at position 1 or 2.  Associativity
+and the derivation axiom scan every tuple and have none.
 
 Degenerate dimensions 0 and 1 are legal; checks pass vacuously.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import wraps
-from math import lcm
-from operator import itemgetter
+from operator import mul
 
 from .linalg import LinearForm, LinearMap, basis_vector, nullspace
 from .reports import (ArgumentError, CheckReport, decide, failing,
                       first_failure, passing)
 from .scalars import rational
-from .tensor import RISE, StructureTensor, basis_tuples
+from .tensor import RISE, StructureTensor, basis_tuples, integer_table
 
 
 def _kept(check):
@@ -144,7 +171,10 @@ def _steps(names, rises):
 
 
 def _rises(values, steps):
-    return all(values[i] >= values[h] + r for i, h, r in steps)
+    for i, h, r in steps:
+        if values[i] < values[h] + r:
+            return False
+    return True
 
 
 def _least_composed(t: StructureTensor, blocks, compositions):
@@ -158,72 +188,151 @@ def _least_composed(t: StructureTensor, blocks, compositions):
     outer key K name the positions of the tuple they land on, the slot
     aside.  All terms landing on a tuple share its first index, so they are
     expanded one first index at a time, in increasing order, and the least
-    nonzero tuple of the first index that has one is the least overall.
-    Of J and K, the one that names position 0 is looked up by its first
-    index, the other by v.
+    nonzero code of the first index that has one is the least overall.
+    Of J and K, the one that names position 0 drives: it is looked up by
+    its first index, its partners by v.
     """
     d = t.dimension
-    # the constants times their common denominator q, as ints: a term, the
-    # product of two constants, is then q**2 times its value
-    q = lcm(*(c.denominator for prod in t.table.values() for _, c in prod))
-    table = {key: [(k, c.numerator * (q // c.denominator)) for k, c in prod]
-             for key, prod in t.table.items()}
+    q, rows = integer_table(t)
     rises, length = {}, 0  # position -> least rise from the one before it
     for k, symmetry in blocks:
         if RISE[symmetry] is not None:
             rises.update(dict.fromkeys(range(length + 1, length + k),
                                        RISE[symmetry]))
         length += k
-    plans = []
-    for coeff, inner, outer in compositions:
-        slot, steps = outer.index(None), _steps(inner, rises)
-        js = [(j, v, coeff * c) for j, prod in table.items()
-              if _rises(j, steps) for v, c in prod]
-        steps = _steps(outer, rises)
-        ks = [(key, key[slot], prod) for key, prod in table.items()
-              if _rises(key, steps)]
-        j_drives = 0 in inner
-        (first_side, names), (other_side, other) = (
-            ((js, inner), (ks, outer)) if j_drives else ((ks, outer), (js, inner)))
-        by_first, by_v = [[] for _ in range(d)], {}
-        for item in first_side:
-            by_first[item[0][names.index(0)]].append(item)
-        for item in other_side:
-            by_v.setdefault(item[1], []).append(item)
-        # the steps between the two keys, checked on each joined pair
-        cut, names = len(names), names + other
-        cross = [(i, h, r) for i, h, r in _steps(names, rises)
-                 if (i < cut) != (h < cut)]
-        plans.append((by_first, by_v, j_drives, cross,
-                      itemgetter(*map(names.index, range(length)))))
+    place = _places(d, length)
+    groups = {0: rows}
+
+    def group(s):
+        """The table keys by their entry at index s, as ``(key, pairs)``,
+        or by each output coordinate v of their product, as ``(key, c)``,
+        for s None; built on first use."""
+        if s not in groups:
+            got = groups[s] = [[] for _ in range(d)]
+            for row in rows:
+                for key, pairs in row:
+                    if s is None:
+                        for v, c in pairs:
+                            got[v].append((key, c))
+                    else:
+                        got[key[s]].append((key, pairs))
+        return groups[s]
+
+    landers = [_lander(group, rises, place, *composition)
+               for composition in compositions]
     for first in range(d):
         diff = {}
-        for plan in plans:
-            for key, w, prod in _landings(plan, first):
-                acc = diff.get(key)
-                if acc is None:
-                    acc = diff[key] = [0] * d
-                for k, a in prod:
-                    acc[k] += w * a
-        nonzero = [key for key, acc in diff.items() if any(acc)]
-        if nonzero:
-            key = min(nonzero)
-            return key, tuple(rational(a, q * q) for a in diff[key])
+        for land in landers:
+            land(first, diff)
+        found = _least_code(diff, place, d, q * q)
+        if found:
+            return found
     return None
 
 
-def _landings(plan, first):
-    """``(tuple, w, product of K)`` of each term of one composition whose
-    tuple has the first index ``first`` and rises as the scan's do."""
-    by_first, by_v, j_drives, cross, pick = plan
-    for a, v, x in by_first[first]:
-        for b, _, y in by_v.get(v, ()):
-            ab = a + b
-            for i, h, r in cross:
-                if ab[i] < ab[h] + r:
-                    break
+def _places(d, length):
+    """The weight of each position in the code of a landing: the landing on
+    the tuple idx at the coordinate k of the difference is added under
+    sum_p idx[p] d**(length-p) + k."""
+    return [d ** (length - p) for p in range(length)]
+
+
+def _least_code(diff, place, d, scale):
+    """``(key, lhs - rhs)`` at the tuple of the least code with a nonzero
+    sum in ``diff``, each coordinate the sum over ``scale``, or ``None``."""
+    nonzero = [code for code, a in diff.items() if a]
+    if not nonzero:
+        return None
+    code = min(nonzero)
+    base = code - code % d
+    return (tuple(base // w % d for w in place),
+            tuple(rational(diff.get(base + k, 0), scale) for k in range(d)))
+
+
+def _lander(group, rises, place, coeff, inner, outer):
+    """``land(first, diff)``: adds q**2 times each term of the composition
+    ``(coeff, inner, outer)`` whose tuple has the first index ``first`` and
+    rises as the scan's do to ``diff``, under the code of its landing."""
+    slot = outer.index(None)
+    # a key's part of the code is the sum of its entries times these
+    j_place, k_place = ([0 if p is None else place[p] for p in names]
+                        for names in (inner, outer))
+    j_drives = 0 in inner
+    drive, other = (inner, outer) if j_drives else (outer, inner)
+    drive_steps, other_steps = _steps(drive, rises), _steps(other, rises)
+    # the rises between the two keys: entry e of the partner at least entry
+    # f of the driver plus r (sign 1), or at most it less r (sign -1)
+    at_drive = {p: i for i, p in enumerate(drive)}
+    at_other = {p: i for i, p in enumerate(other)}
+    cross = [(at_other[p], at_drive[p - 1], r, 1) for p, r in rises.items()
+             if p in at_other and p - 1 in at_drive]
+    cross += [(at_other[p - 1], at_drive[p], r, -1) for p, r in rises.items()
+              if p in at_drive and p - 1 in at_other]
+    # the partners are sorted by the entry the first cross rise bounds, so
+    # its rises, and those of the others on that entry, are a range of them
+    e = cross[0][0] if cross else None
+    ranged = [c for c in cross if c[0] == e]
+    paired = [c for c in cross if c[0] != e]
+    partners = {}
+
+    def partners_of(v):
+        """``(entries, partners)``: each partner under v, sorted by its
+        entry e, and those entries.  A J partner is ``(key, code, coeff *
+        c)``, a K partner ``(key, landings)``, each landing its code plus
+        k with its constant."""
+        if j_drives:
+            got = []
+            for key, pairs in group(slot)[v]:
+                if _rises(key, other_steps):
+                    base = sum(map(mul, key, k_place))
+                    got.append((key, [(base + k, a) for k, a in pairs]))
+        else:
+            got = [(key, sum(map(mul, key, j_place)), coeff * c)
+                   for key, c in group(None)[v] if _rises(key, other_steps)]
+        if e is not None:
+            got.sort(key=lambda item: item[0][e])
+        entries = [item[0][e] for item in got] if cross else ()
+        partners[v] = found = entries, got
+        return found
+
+    def span(key, v):
+        """The partners under v that rise with the driver ``key``."""
+        entries, got = partners.get(v) or partners_of(v)
+        if not cross:
+            return got
+        lo, hi = 0, len(got)
+        for _, f, r, sign in ranged:
+            if sign > 0:
+                lo = max(lo, bisect_left(entries, key[f] + r))
             else:
-                yield (pick(ab), x, y) if j_drives else (pick(ab), y, x)
+                hi = min(hi, bisect_right(entries, key[f] - r))
+        if not paired:
+            return got[lo:hi]
+        return [partner for partner in got[lo:hi]
+                if all(sign * (partner[0][g] - key[f]) >= r
+                       for g, f, r, sign in paired)]
+
+    lead = drive.index(0)
+
+    def land(first, diff):
+        get = diff.get
+        for key, pairs in group(lead)[first]:
+            if not _rises(key, drive_steps):
+                continue
+            if j_drives:
+                cj = sum(map(mul, key, j_place))
+                for v, c in pairs:
+                    w = coeff * c
+                    for _, landings in span(key, v):
+                        for x, a in landings:
+                            diff[cj + x] = get(cj + x, 0) + w * a
+            else:
+                base = sum(map(mul, key, k_place))
+                landings = [(base + k, a) for k, a in pairs]
+                for _, cj, w in span(key, key[slot]):
+                    for x, a in landings:
+                        diff[cj + x] = get(cj + x, 0) + w * a
+    return land
 
 
 @_kept

@@ -3,6 +3,10 @@
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage or input error,
 3 internal consistency violated (an unconditional theorem failed to hold,
 which can only be an implementation bug).
+
+The ``files``, ``inheritance`` and ``selftest`` modules are imported by the
+commands that use them, so a command loads only what it runs; ``search``
+is imported here because the parser takes its choices from it.
 """
 
 from __future__ import annotations
@@ -11,19 +15,16 @@ import argparse
 import os
 import sys
 
-from . import files
 from .catalog import catalog, catalog_names, get as catalog_get
 from .algebra import Algebra
 from .axioms import AXIOM_CHECKS as _AXIOMS
 from .constructions import det_bracket_2, det_bracket_3, fD_bracket, \
     f_bracket, prelie_from_comm_assoc, thm36_bracket
-from .inheritance import derived_nbracket, lts_from_lie, naive_bracket
 from .operators import OPERATOR_CHECKS as _OP_KINDS
 from .reports import (ArgumentError, FileFormatError,
                       InternalConsistencyError, PreconditionError)
 from .scalars import format_rational, parse_rational
 from .search import STRATEGIES, TARGETS, SearchSpec, search
-from .selftest import run_selftest
 
 _RECIPES = ("f-bracket", "fD-bracket", "det2", "det3", "derived", "naive",
             "lts", "prelie-from-assoc", "thm36")
@@ -35,6 +36,7 @@ def _load_algebra(ref: str) -> Algebra:
             raise ArgumentError(
                 f"{ref!r} names both the local file ./{ref} and the catalog "
                 f"algebra {ref}; write ./{ref} to load the file")
+        from . import files
         return files.load(ref)
     try:
         return catalog_get(ref)
@@ -89,6 +91,7 @@ def _cmd_verify(args, out):
     rep = _AXIOMS[args.axiom](alg.products[pname])
     _print_report(alg, f"{alg.name}.{pname} {args.axiom}", rep, out)
     if args.report:
+        from . import files
         files.save_report(alg.name, [(f"{pname}:{args.axiom}", rep)], args.report)
     return 0 if rep.passed else 1
 
@@ -102,12 +105,15 @@ def _cmd_verify_op(args, out):
     label = f"{alg.name}.{pname} {args.kind}({args.map}, weight {args.weight})"
     _print_report(alg, label, rep, out)
     if args.report:
+        from . import files
         files.save_report(
             alg.name, [(f"{pname}:{args.kind}:{args.map}", rep)], args.report)
     return 0 if rep.passed else 1
 
 
 def _cmd_construct(args, out):
+    from . import files
+    from .inheritance import derived_nbracket, lts_from_lie, naive_bracket
     alg = _load_algebra(args.algebra)
     pname = _pick_product(alg, args.product)
     t = alg.products[pname]
@@ -183,6 +189,7 @@ def _cmd_search(args, out):
         print(f"  [{i}] {desc}  certificate: {res.certificate.identity_name} "
               f"{res.certificate.verdict}", file=out)
     if args.report:
+        from . import files
         files.save_report(
             alg.name, [(f"search[{i}]", r.certificate)
                        for i, r in enumerate(results)], args.report)
@@ -190,6 +197,7 @@ def _cmd_search(args, out):
 
 
 def _cmd_selftest(args, out):
+    from .selftest import run_selftest
     ok, lines = run_selftest(args.workers)
     for line in lines:
         print(line, file=out)

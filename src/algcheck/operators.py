@@ -22,19 +22,36 @@ through M if its side is pushed.  The difference at a tuple is exactly
 lhs - rhs there: the terms landing on it, with rhs negated, are the
 summands of the two sides, and scalars are exact rationals.  With no
 nonzero difference a check passes with ``checked_count`` d**n.
+
+The difference is summed in ints and divided once, at the reported key.
+The constants of t are scaled by their common denominator q (kept on the
+tensor, ``tensor.integer_table``), the entries of M by theirs, r, and the
+coefficients of the statement by theirs, s.  A term with f entries of M,
+one per pulled slot and one more if its side is pushed, is a coefficient
+times f entries times one constant of t, so scaled it is s r**f q times
+its value; its coefficient is multiplied by r**(top - f) too, top the
+largest f of the statement, and every term is then s r**top q times its
+value.  The landings are coded as in ``axioms`` (tuple and coordinate as
+the base-d digits of one int), so the least nonzero code names the least
+nonzero tuple.  The landings of a source key in the slots after 0, its
+tail, do not depend on the first index, except that slot 1 must rise from
+it; the tails of a key are listed in increasing order of slot 1, so those
+kept are the range past a bisection, and every tail rises inside itself.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from functools import lru_cache
+from math import lcm
 
-from .axioms import check_associative
+from .axioms import _least_code, _places, check_associative
 from .linalg import LinearMap, apply_cols, maps_commute, support, vector
 from .reports import (ArgumentError, CheckReport, PreconditionError, agree,
                       decide, failing, passing)
 from .scalars import Scalar, norm
-from .tensor import RISE, StructureTensor, basis_tuples
+from .tensor import RISE, StructureTensor, basis_tuples, integer_table
 
 __all__ = [
     "SubsetMode", "subset_expansion", "check_rota_baxter", "check_derivation",
@@ -207,51 +224,99 @@ def _least_difference(t: StructureTensor, m: LinearMap, lam, rb: bool):
 
     All terms landing on a tuple share its first index, so they are
     expanded one first index at a time, in increasing order, and the least
-    nonzero tuple of the first index that has one is the least overall.
+    nonzero code of the first index that has one is the least overall.
     A term pulling slot 0 onto the first index i starts at a source whose
-    first index j has M[j, i] != 0: column i of M.  A term is dropped as
-    soon as its partial tuple stops rising as the scanned tuples do
-    (``tensor.RISE``), so it is kept at the scanned tuples only.
+    first index j has M[j, i] != 0: column i of M.  The landings of a
+    source key in the slots after 0, its tail, are the same for every
+    first index, so they are set up once per key and pulled slots, in
+    increasing order of slot 1; those that rise from the first index as
+    the scanned tuples do (``tensor.RISE``) are a range of them, found by
+    bisection, and each tail rises as they do.
     """
     n, d = t.arity, t.dimension
-    cols, rows = m.sparse_cols, [support(row) for row in m.rows()]
+    q, rows = integer_table(t)
+    r = lcm(*(a.denominator for col in m.sparse_cols for _, a in col))
+    cols = [[(i, a.numerator * (r // a.denominator)) for i, a in col]
+            for col in m.sparse_cols]
+    mrows = [[] for _ in range(d)]  # row j of r M, as (i, r M[j, i])
+    for i, col in enumerate(cols):
+        for j, a in col:
+            mrows[j].append((i, a))
     (lpush, lterms), (rpush, rterms) = _identity(norm(lam), n, rb)
     terms = ([(pulled, c, lpush) for pulled, c in lterms]
              + [(pulled, -c, rpush) for pulled, c in rterms])
-    by_first = [[] for _ in range(d)]  # source keys by first index
-    for key, pairs in t.table.items():
-        pushed = [0] * d
-        for k, c in pairs:
-            for i, a in cols[k]:
-                pushed[i] += c * a
-        by_first[key[0]].append((key, pairs, support(pushed)))
+    # a term with f entries of M is scaled by r**f, its coefficient by s
+    # and r**(top - f) more, so that every term is scale times its value
+    s = lcm(*(c.denominator for _, c, _ in terms))
+    top = max(pulled.bit_count() + push for pulled, _, push in terms)
+    terms = [(pulled, c.numerator * (s // c.denominator)
+              * r ** (top - pulled.bit_count() - push), push)
+             for pulled, c, push in terms]
+    scale = q * s * r ** top
+    place = _places(d, n)
     # a scanned tuple rises by at least gap at each slot; -d bounds nothing
     gap = RISE[t.symmetry]
     gap = -d if gap is None else gap
+    push_any = any(push for _, _, push in terms)
+    keyed, shared = {}, {}
+
+    def keyed_of(j):
+        """``(key, pairs, pushed, tails)`` of each source key with the
+        first index j: ``pushed`` is r q M applied to its product, and
+        ``tails`` its landings after slot 0 by pulled slots, set up on
+        first use and shared by the keys with the same entries after 0."""
+        got = keyed[j] = []
+        for key, pairs in rows[j]:
+            pushed = None
+            if push_any:
+                out = {}
+                for k, c in pairs:
+                    for i, a in cols[k]:
+                        out[i] = out.get(i, 0) + c * a
+                pushed = [(i, a) for i, a in out.items() if a]
+            tails = shared.get(key[1:])
+            if tails is None:
+                tails = shared[key[1:]] = [None] * (1 << (n - 1))
+            got.append((key, pairs, pushed, tails))
+        return got
+
+    def tails_of(key, pulled, tails):
+        """``(starts, tips)``: the code and coefficient of each landing of
+        ``key`` in the slots after 0 with the slots ``pulled << 1`` pulled
+        back, in increasing order of their entry at slot 1, in
+        ``starts``."""
+        choices = mrows[key[1]] if pulled & 1 else ((key[1], 1),)
+        tips = [(i, i * place[1], a, i) for i, a in choices]
+        for p in range(2, n):
+            choices = (mrows[key[p]] if pulled >> (p - 1) & 1
+                       else ((key[p], 1),))
+            tips = [(start, code + i * place[p], c * a, i)
+                    for start, code, c, last in tips
+                    for i, a in choices if i >= last + gap]
+        tails[pulled] = got = ([tip[0] for tip in tips],
+                               [tip[1:3] for tip in tips])
+        return got
+
     for first in range(d):
         diff = {}
+        get = diff.get
+        lead, least = first * place[0], first + gap
         for pulled, coeff, push in terms:
+            after = pulled >> 1
             for j, b in cols[first] if pulled & 1 else ((first, 1),):
-                for key, pairs, pushed in by_first[j]:
+                w0 = coeff * b
+                for key, pairs, pushed, tails in keyed.get(j) or keyed_of(j):
                     out = pushed if push else pairs
                     if not out:
                         continue
-                    tips = [((first,), coeff * b)]
-                    for s in range(1, n):
-                        choices = (rows[key[s]] if pulled >> s & 1
-                                   else ((key[s], 1),))
-                        tips = [(tip + (i,), c * a) for tip, c in tips
-                                for i, a in choices if i >= tip[-1] + gap]
-                    for tip, c in tips:
-                        acc = diff.get(tip)
-                        if acc is None:
-                            acc = diff[tip] = [0] * d
+                    starts, tips = tails[after] or tails_of(key, after, tails)
+                    for code, c in tips[bisect_left(starts, least):]:
+                        base, w = lead + code, w0 * c
                         for k, a in out:
-                            acc[k] += c * a
-        nonzero = [tip for tip, acc in diff.items() if any(acc)]
-        if nonzero:
-            key = min(nonzero)
-            return key, tuple(diff[key])
+                            diff[base + k] = get(base + k, 0) + w * a
+        found = _least_code(diff, place, d, scale)
+        if found:
+            return found
     return None
 
 

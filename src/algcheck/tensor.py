@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, permutations
 from itertools import product as iproduct
+from math import lcm
 
 from .linalg import (Vector, basis_vector, support, vec_is_zero, vec_scale,
                      vector)
@@ -204,6 +205,25 @@ def basis_tuples(arity, dimension, symmetry):
     exhaustive check scans when its identity has that symmetry.
     """
     return _TUPLES[symmetry](range(dimension), arity)
+
+
+def integer_table(t: StructureTensor) -> tuple:
+    """``(q, rows)``: the constants of ``t.table`` times their common
+    denominator q, as ints, with ``rows[i]`` the ``(key, pairs)`` of the
+    keys whose first index is i, in table order.  Built once and kept on
+    ``t`` (``StructureTensor._memo``), so every decided check on ``t``
+    shares it."""
+    return t._memo("integer table", _integer_table)
+
+
+def _integer_table(t: StructureTensor) -> tuple:
+    q = lcm(*(c.denominator for pairs in t.table.values() for _, c in pairs))
+    rows = [[] for _ in range(t.dimension)]
+    for key, pairs in t.table.items():
+        rows[key[0]].append(
+            (key, tuple((k, c.numerator * (q // c.denominator))
+                        for k, c in pairs)))
+    return q, rows
 
 
 def stored_keys(arity, dimension, symmetry):

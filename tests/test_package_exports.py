@@ -97,6 +97,23 @@ print(ok, len(lines), sum(line.startswith("PASS ") for line in lines))
     assert selftest == "True 125 125"
 
 
+def test_the_catalog_command_leaves_the_lazy_modules_out():
+    # each command imports files, inheritance and selftest where it uses
+    # them; listing the catalog uses none of them
+    out = run("""
+import io, sys
+from algcheck.cli import run_cli
+listing = io.StringIO()
+print(run_cli(["catalog"], out=listing), len(listing.getvalue().splitlines()))
+print([m for m in ("json", "algcheck.files", "algcheck.inheritance",
+                   "algcheck.selftest") if m in sys.modules])
+""")
+    code, loaded = out.splitlines()
+    exit_code, lines = code.split()
+    assert exit_code == "0" and int(lines) > 0
+    assert ast.literal_eval(loaded) == []
+
+
 @pytest.mark.parametrize("name", LAZY + tuple(
     name for module in LAZY for name in EXPORTS[module]))
 def test_a_lazy_name_touched_first_is_its_module_object(name):
