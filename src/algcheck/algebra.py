@@ -2,26 +2,26 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .linalg import LinearForm, LinearMap
-from .reports import ArgumentError
+from .reports import ArgumentError, Record
 from .tensor import StructureTensor
 
 
-@dataclass(frozen=True)
-class OperatorClaim:
+class OperatorClaim(Record):
     """A claimed operator identity: ``kind`` is "rb", "derivation" or
     "duality"; ``weight`` is an exact scalar."""
 
-    kind: str
-    product: str
-    map: str
-    weight: object = 0
+    _fields = ("kind", "product", "map", "weight")
+
+    def __init__(self, kind: str, product: str, map: str, weight=0):
+        d = self.__dict__
+        d["kind"] = kind
+        d["product"] = product
+        d["map"] = map
+        d["weight"] = weight
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(Record):
     """Named algebra: products, maps and forms over one underlying space.
 
     ``claims`` records which axiom systems each product is supposed to
@@ -30,14 +30,24 @@ class Algebra:
     just claims: they are verified by the checkers, never trusted.
     """
 
-    name: str
-    dimension: int
-    basis: tuple
-    products: dict = field(default_factory=dict)
-    maps: dict = field(default_factory=dict)
-    forms: dict = field(default_factory=dict)
-    claims: dict = field(default_factory=dict)
-    operator_claims: tuple = ()
+    _fields = ("name", "dimension", "basis", "products", "maps", "forms",
+               "claims", "operator_claims")
+
+    def __init__(self, name: str, dimension: int, basis: tuple,
+                 products: dict | None = None, maps: dict | None = None,
+                 forms: dict | None = None, claims: dict | None = None,
+                 operator_claims: tuple = ()):
+        # each dict left out is a fresh empty one
+        d = self.__dict__
+        d["name"] = name
+        d["dimension"] = dimension
+        d["basis"] = basis
+        d["products"] = {} if products is None else products
+        d["maps"] = {} if maps is None else maps
+        d["forms"] = {} if forms is None else forms
+        d["claims"] = {} if claims is None else claims
+        d["operator_claims"] = operator_claims
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.basis) != self.dimension:

@@ -17,11 +17,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .reports import ArgumentError
+from .reports import ArgumentError, Record
 from .scalars import Scalar, norm
 
 Vector = tuple  # tuple of Scalar
@@ -74,11 +73,13 @@ def apply_cols(cols, v: Vector) -> Vector:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(Record):
     """Covector; ``f(x) = sum_i row[i] * x[i]``."""
 
-    row: Vector
+    _fields = ("row",)
+
+    def __init__(self, row: Vector):
+        self.__dict__["row"] = row
 
     @property
     def dimension(self) -> int:
@@ -93,11 +94,14 @@ class LinearForm:
         return vec_is_zero(self.row)
 
 
-@dataclass(frozen=True)
-class LinearMap:
+class LinearMap(Record):
     """Square matrix stored by columns (column j = image of basis vector j)."""
 
-    cols: tuple  # tuple of Vector
+    _fields = ("cols",)
+
+    def __init__(self, cols: tuple):  # tuple of Vector
+        self.__dict__["cols"] = cols
+        self.__post_init__()
 
     def __post_init__(self):
         d = len(self.cols)

@@ -232,7 +232,13 @@ def _least_difference(t: StructureTensor, m: LinearMap, lam, rb: bool):
     increasing order of slot 1; those that rise from the first index as
     the scanned tuples do (``tensor.RISE``) are a range of them, found by
     bisection, and each tail rises as they do.
+
+    With M zero there is no difference: every term of both statements
+    carries at least one entry of M (a pulled slot or a push), so every
+    term vanishes.
     """
+    if not any(m.sparse_cols):
+        return None
     n, d = t.arity, t.dimension
     q, rows = integer_table(t)
     r = lcm(*(a.denominator for col in m.sparse_cols for _, a in col))

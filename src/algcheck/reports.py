@@ -19,9 +19,7 @@ their two sides, with :func:`agree` as its cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Optional
 
 # the tuples a decided check scans one by one before it takes the rest from
 # the least tuple where the two sides of its identity differ
@@ -56,25 +54,72 @@ class FileFormatError(ValueError):
         self.location = location
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    indices: tuple
-    lhs: tuple  # a vector, as in ``linalg``
-    rhs: tuple
+class Record:
+    """A frozen record, valued by its fields as a frozen dataclass is.
+
+    A subclass names its fields in order in ``_fields`` and sets them in its
+    own ``__init__`` through ``self.__dict__``, then calls
+    ``self.__post_init__()`` if it has one.  ``repr``, ``==`` (same class
+    only) and ``hash`` read the fields alone; values kept beside them in
+    ``__dict__``, such as a ``cached_property``, stay out of all three.
+    Assignment and deletion raise ``AttributeError``.
+    """
+
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}"
+                           for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class Counterexample(Record):
+    """The first failing basis tuple of a check and its two sides there."""
+
+    _fields = ("indices", "lhs", "rhs")
+
+    def __init__(self, indices: tuple, lhs: tuple, rhs: tuple):
+        # lhs and rhs are vectors, as in ``linalg``
+        d = self.__dict__
+        d["indices"] = indices
+        d["lhs"] = lhs
+        d["rhs"] = rhs
+
+
+class CheckReport(Record):
     """Outcome of an identity check over basis tuples.
 
     ``counterexample`` is present exactly when the check failed, and is the
     lexicographically least failing basis tuple (checkers scan in lex order).
     """
 
-    identity_name: str
-    passed: bool
-    checked_count: int
-    counterexample: Optional[Counterexample] = None
+    _fields = ("identity_name", "passed", "checked_count", "counterexample")
+
+    def __init__(self, identity_name: str, passed: bool, checked_count: int,
+                 counterexample: Counterexample | None = None):
+        d = self.__dict__
+        d["identity_name"] = identity_name
+        d["passed"] = passed
+        d["checked_count"] = checked_count
+        d["counterexample"] = counterexample
+        self.__post_init__()
 
     def __post_init__(self):
         if self.passed and self.counterexample is not None:

@@ -22,7 +22,6 @@ check as its certificate; nothing trusts the search path.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import chain
 from itertools import product as iproduct
 
@@ -30,7 +29,8 @@ from .algebra import Algebra
 from .constructions import _fd_rows
 from .linalg import LinearForm, LinearMap, nullspace, support
 from .operators import _sides, check_rota_baxter
-from .reports import ArgumentError, CheckReport, conclude, first_failure
+from .reports import (ArgumentError, CheckReport, Record, conclude,
+                      first_failure)
 from .scalars import norm
 from .tensor import StructureTensor, basis_tuples
 
@@ -38,8 +38,7 @@ TARGETS = ("rb_operator", "annihilating_form", "fD_form")
 STRATEGIES = ("solve", "grid", "random")
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(Record):
     """What to look for and how.
 
     ``product`` names the product of the algebra to search against; ``map``
@@ -48,14 +47,23 @@ class SearchSpec:
     ``seed`` makes the random strategy reproducible.
     """
 
-    target: str
-    product: str
-    weight: object = 0
-    strategy: str = "solve"
-    map: str = ""
-    entry_set: tuple = (-1, 0, 1)
-    max_candidates: int = 100000
-    seed: int = 0
+    _fields = ("target", "product", "weight", "strategy", "map", "entry_set",
+               "max_candidates", "seed")
+
+    def __init__(self, target: str, product: str, weight=0,
+                 strategy: str = "solve", map: str = "",
+                 entry_set: tuple = (-1, 0, 1), max_candidates: int = 100000,
+                 seed: int = 0):
+        d = self.__dict__
+        d["target"] = target
+        d["product"] = product
+        d["weight"] = weight
+        d["strategy"] = strategy
+        d["map"] = map
+        d["entry_set"] = entry_set
+        d["max_candidates"] = max_candidates
+        d["seed"] = seed
+        self.__post_init__()
 
     def __post_init__(self):
         if self.target not in TARGETS:
@@ -78,12 +86,16 @@ class SearchSpec:
                 "use the complete solve strategy")
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
     """Found object plus the report that re-verifies it."""
 
-    found: object  # LinearMap or LinearForm
-    certificate: CheckReport
+    _fields = ("found", "certificate")
+
+    def __init__(self, found, certificate: CheckReport):
+        # found is a LinearMap or a LinearForm
+        d = self.__dict__
+        d["found"] = found
+        d["certificate"] = certificate
 
 
 def _product(alg: Algebra, spec: SearchSpec) -> StructureTensor:
@@ -177,13 +189,19 @@ def _pruned_grid(t: StructureTensor, lam, entry_set, cap):
     until column top(idx) <= d-1, which evaluates it: entries leave ``due``
     only when the walk leaves the node that added them.  So a leaf passes at
     every tuple ``check_rota_baxter`` scans, and its full check passes.
+
+    *Each tuple's sums are computed once per value of the columns it
+    reads.*  ``sums(idx)`` reads the columns in idx alone, so it is kept,
+    with top(idx), by idx and the values of those columns, for the walk:
+    one entry per key met, never more than the sums computed without it.
     """
     d = t.dimension
     cols, dense = [None] * d, [None] * d  # the columns fixed so far
     sums, push = _sides(t, cols, lam, True)
+    kept = {}  # (sums(idx), top(idx)) by idx and the columns it reads
     by_max = [[] for _ in range(d)]
     for idx in basis_tuples(t.arity, d, t.symmetry):
-        by_max[max(idx)].append(idx)
+        by_max[max(idx)].append((idx, sorted(set(idx))))
     due = [[] for _ in range(d)]  # sums(idx) by deciding column
     block = [len(entry_set) ** (d * (d - 1 - k)) for k in range(d)]
 
@@ -192,9 +210,14 @@ def _pruned_grid(t: StructureTensor, lam, entry_set, cap):
         # at k, each evaluated as soon as it is decided
         if any(lhs != rhs for lhs, rhs in map(push, due[k])):
             return False
-        for idx in by_max[k]:
-            s = sums(idx)
-            top = next((i for i in range(d - 1, k, -1) if s[1][i]), k)
+        for idx, reads in by_max[k]:
+            key = (idx, *[dense[i] for i in reads])
+            got = kept.get(key)
+            if got is None:
+                s = sums(idx)
+                got = kept[key] = (s, next(
+                    (i for i in range(d - 1, k, -1) if s[1][i]), k))
+            s, top = got
             if top > k:
                 due[top].append(s)
             else:
@@ -219,4 +242,9 @@ def _pruned_grid(t: StructureTensor, lam, entry_set, cap):
             base += block[k]
 
     if cap > 0:  # with d == 0 the one point has no column to count it
-        yield from visit(0, 0)
+        try:
+            yield from visit(0, 0)
+        finally:
+            # visit refers to itself, so the walk's frame is a cycle that
+            # only the cyclic collector frees; the kept sums go now
+            kept.clear()

@@ -20,7 +20,6 @@ arguments over that table and is the one contraction kernel of the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, permutations
 from itertools import product as iproduct
@@ -28,7 +27,7 @@ from math import lcm
 
 from .linalg import (Vector, basis_vector, support, vec_is_zero, vec_scale,
                      vector)
-from .reports import ArgumentError
+from .reports import ArgumentError, Record
 
 SYMMETRIES = ("none", "skew", "symmetric")
 
@@ -47,12 +46,19 @@ def sort_with_sign(indices) -> tuple[tuple, int]:
     return tuple(idx), sign
 
 
-@dataclass(frozen=True)
-class StructureTensor:
-    arity: int
-    dimension: int
-    symmetry: str
-    entries: dict = field(default_factory=dict)  # index tuple -> Vector
+class StructureTensor(Record):
+    """The products of the basis tuples of an n-ary product, by stored key."""
+
+    _fields = ("arity", "dimension", "symmetry", "entries")
+
+    def __init__(self, arity: int, dimension: int, symmetry: str,
+                 entries: dict | None = None):  # index tuple -> Vector
+        d = self.__dict__
+        d["arity"] = arity
+        d["dimension"] = dimension
+        d["symmetry"] = symmetry
+        d["entries"] = {} if entries is None else entries
+        self.__post_init__()
 
     def __post_init__(self):
         if self.arity < 2:
@@ -75,7 +81,7 @@ class StructureTensor:
                 raise ArgumentError(f"entry {key} has wrong dimension")
             if not vec_is_zero(value):
                 clean[key] = value
-        object.__setattr__(self, "entries", clean)
+        self.__dict__["entries"] = clean
 
     # -- basis products ----------------------------------------------------
 

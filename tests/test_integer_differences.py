@@ -33,6 +33,7 @@ from algcheck.tensor import (RISE, SYMMETRIES, StructureTensor, stored_keys,
                              tensors_equal)
 
 from test_composed_difference import KINDS, fresh, instances
+from test_operators import seed_check_derivation, seed_check_rota_baxter
 from test_sparse_constructions import gl, trace
 
 
@@ -380,6 +381,28 @@ def test_least_difference_matches_on_the_gl4_f_bracket(lam):
               LinearMap.scalar(d, Fraction(1, 2))):
         for rb in (True, False):
             same_difference(fb, m, lam, rb)
+
+
+@pytest.mark.parametrize("lam", [0, 1, Fraction(-2, 3), 2])
+def test_the_zero_map_has_no_difference(monkeypatch, lam):
+    # every term carries an entry of M, so the builder returns at once,
+    # before it scales the table, and the reports are the per-tuple scan's
+    fb = gl4_f_bracket()
+    zero = LinearMap.zero(fb.dimension)
+
+    def unscaled(t):
+        raise AssertionError("the zero map scaled the table")
+
+    for rb in (True, False):
+        assert old_least_difference(fb, zero, lam, rb) is None
+        with monkeypatch.context() as patched:
+            patched.setattr(operators, "integer_table", unscaled)
+            assert operators._least_difference(fresh(fb), zero, lam, rb) is None
+    for check, seed in ((operators.check_rota_baxter, seed_check_rota_baxter),
+                        (operators.check_derivation, seed_check_derivation)):
+        got, want = check(fresh(fb), zero, lam), seed(fb, zero, lam)
+        assert got == want and repr(got) == repr(want)
+        assert got.passed
 
 
 # ---------------------------------------------------- the kept integer table

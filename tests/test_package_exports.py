@@ -97,6 +97,22 @@ print(ok, len(lines), sum(line.startswith("PASS ") for line in lines))
     assert selftest == "True 125 125"
 
 
+def test_import_and_catalog_leave_dataclasses_inspect_and_typing_out():
+    # the records are reports.Record, not dataclasses; typing counts only
+    # where the interpreter's start-up has not loaded it already
+    out = run("""
+import sys
+before = set(sys.modules)
+import algcheck
+algcheck.catalog()
+print([m for m in ("dataclasses", "inspect") if m in sys.modules])
+print("typing" in set(sys.modules) - before)
+""")
+    loaded, typing = out.splitlines()
+    assert ast.literal_eval(loaded) == []
+    assert typing == "False"
+
+
 def test_the_catalog_command_leaves_the_lazy_modules_out():
     # each command imports files, inheritance and selftest where it uses
     # them; listing the catalog uses none of them
