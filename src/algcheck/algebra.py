@@ -74,11 +74,16 @@ class Algebra(Record):
 
     def with_product(self, name: str, tensor: StructureTensor,
                      claims=()) -> "Algebra":
+        """This algebra with ``tensor`` as product ``name``.  A product
+        replaced by name takes exactly ``claims``: the old product's claims
+        and the operator claims on it are dropped."""
         products = dict(self.products)
         products[name] = tensor
         claim_map = dict(self.claims)
+        claim_map.pop(name, None)
         if claims:
             claim_map[name] = tuple(claims)
         return Algebra(self.name, self.dimension, self.basis, products,
                        dict(self.maps), dict(self.forms), claim_map,
-                       self.operator_claims)
+                       tuple(oc for oc in self.operator_claims
+                             if oc.product != name))

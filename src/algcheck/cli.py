@@ -4,6 +4,11 @@ Exit codes: 0 all checks passed, 1 a check failed, 2 usage or input error,
 3 internal consistency violated (an unconditional theorem failed to hold,
 which can only be an implementation bug).
 
+``_RECIPES`` is the one list of ``construct`` recipes: the parser's choices
+and the construction each runs are read from it.  Each subcommand names its
+handler with ``set_defaults``, so ``run_cli`` dispatches without knowing any
+command by name.
+
 The ``files``, ``inheritance`` and ``selftest`` modules are imported by the
 commands that use them, so a command loads only what it runs; ``search``
 is imported here because the parser takes its choices from it.
@@ -14,20 +19,33 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from importlib import import_module
 
 from .catalog import catalog, catalog_names, get as catalog_get
 from .algebra import Algebra
 from .axioms import AXIOM_CHECKS as _AXIOMS
-from .constructions import det_bracket_2, det_bracket_3, fD_bracket, \
-    f_bracket, prelie_from_comm_assoc, thm36_bracket
 from .operators import OPERATOR_CHECKS as _OP_KINDS
 from .reports import (ArgumentError, FileFormatError,
                       InternalConsistencyError, PreconditionError)
 from .scalars import format_rational, parse_rational
 from .search import STRATEGIES, TARGETS, SearchSpec, search
 
-_RECIPES = ("f-bracket", "fD-bracket", "det2", "det3", "derived", "naive",
-            "lts", "prelie-from-assoc", "thm36")
+# recipe: (module, function, the options naming its ingredients in argument
+# order, the claims of its product); the function takes the product first
+_RECIPES = {
+    "f-bracket": ("constructions", "f_bracket", ("form",), ("3lie",)),
+    "fD-bracket": ("constructions", "fD_bracket", ("form", "map"), ("3lie",)),
+    "det2": ("constructions", "det_bracket_2", ("map", "map2"), ("3lie",)),
+    "det3": ("constructions", "det_bracket_3", ("map", "map2", "map3"),
+             ("3lie",)),
+    "derived": ("inheritance", "derived_nbracket", ("map", "weight"),
+                ("3lie",)),
+    "naive": ("inheritance", "naive_bracket", ("map",), ()),
+    "lts": ("inheritance", "lts_from_lie", (), ("lts",)),
+    "prelie-from-assoc": ("constructions", "prelie_from_comm_assoc",
+                          ("map",), ("prelie",)),
+    "thm36": ("constructions", "thm36_bracket", ("map", "form"), ("3lie",)),
+}
 
 
 def _load_algebra(ref: str) -> Algebra:
@@ -55,20 +73,16 @@ def _pick_product(alg: Algebra, name):
         f"--product required; algebra has {sorted(alg.products)}")
 
 
-def _pick_map(alg: Algebra, name, flag="--map"):
+def _pick(alg: Algebra, args, option):
+    """The form (``option`` "form") or map that ``--option`` names."""
+    kind, named = (("form", alg.forms) if option == "form"
+                   else ("map", alg.maps))
+    name = getattr(args, option)
     if not name:
-        raise ArgumentError(f"{flag} is required for this operation")
-    if name not in alg.maps:
-        raise ArgumentError(f"algebra has no map named {name!r}")
-    return alg.maps[name]
-
-
-def _pick_form(alg: Algebra, name):
-    if not name:
-        raise ArgumentError("--form is required for this operation")
-    if name not in alg.forms:
-        raise ArgumentError(f"algebra has no form named {name!r}")
-    return alg.forms[name]
+        raise ArgumentError(f"--{option} is required for this operation")
+    if name not in named:
+        raise ArgumentError(f"algebra has no {kind} named {name!r}")
+    return named[name]
 
 
 def _print_report(alg: Algebra, label, rep, out):
@@ -99,7 +113,7 @@ def _cmd_verify(args, out):
 def _cmd_verify_op(args, out):
     alg = _load_algebra(args.algebra)
     pname = _pick_product(alg, args.product)
-    m = _pick_map(alg, args.map)
+    m = _pick(alg, args, "map")
     weight = parse_rational(args.weight)
     rep = _OP_KINDS[args.kind](alg.products[pname], m, weight)
     label = f"{alg.name}.{pname} {args.kind}({args.map}, weight {args.weight})"
@@ -113,40 +127,15 @@ def _cmd_verify_op(args, out):
 
 def _cmd_construct(args, out):
     from . import files
-    from .inheritance import derived_nbracket, lts_from_lie, naive_bracket
     alg = _load_algebra(args.algebra)
     pname = _pick_product(alg, args.product)
-    t = alg.products[pname]
     weight = parse_rational(args.weight)
-    recipe = args.recipe
-    claims = ("3lie",)
-    if recipe == "f-bracket":
-        result = f_bracket(t, _pick_form(alg, args.form))
-    elif recipe == "fD-bracket":
-        result = fD_bracket(t, _pick_form(alg, args.form),
-                            _pick_map(alg, args.map))
-    elif recipe == "det2":
-        result = det_bracket_2(t, _pick_map(alg, args.map),
-                               _pick_map(alg, args.map2, "--map2"))
-    elif recipe == "det3":
-        result = det_bracket_3(t, _pick_map(alg, args.map),
-                               _pick_map(alg, args.map2, "--map2"),
-                               _pick_map(alg, args.map3, "--map3"))
-    elif recipe == "derived":
-        result = derived_nbracket(t, _pick_map(alg, args.map), weight)
-    elif recipe == "naive":
-        result = naive_bracket(t, _pick_map(alg, args.map))
-        claims = ()
-    elif recipe == "lts":
-        result = lts_from_lie(t)
-        claims = ("lts",)
-    elif recipe == "prelie-from-assoc":
-        result = prelie_from_comm_assoc(t, _pick_map(alg, args.map))
-        claims = ("prelie",)
-    else:  # thm36
-        result = thm36_bracket(t, _pick_map(alg, args.map),
-                               _pick_form(alg, args.form))
-    new_name = args.name or recipe.replace("-", "_")
+    module, function, options, claims = _RECIPES[args.recipe]
+    inputs = [weight if o == "weight" else _pick(alg, args, o)
+              for o in options]
+    build = getattr(import_module(f".{module}", __package__), function)
+    result = build(alg.products[pname], *inputs)
+    new_name = args.name or args.recipe.replace("-", "_")
     enriched = alg.with_product(new_name, result, claims)
     text = files.dumps(enriched)
     if args.out:
@@ -163,9 +152,11 @@ def _cmd_search(args, out):
     alg = _load_algebra(args.algebra)
     pname = _pick_product(alg, args.product)
     entry_set = tuple(parse_rational(e) for e in args.entries.split(","))
+    strategy = args.strategy or (
+        "grid" if args.target == "rb_operator" else "solve")
     spec = SearchSpec(
         target=args.target, product=pname, weight=parse_rational(args.weight),
-        strategy=args.strategy, map=args.map or "", entry_set=entry_set,
+        strategy=strategy, map=args.map or "", entry_set=entry_set,
         max_candidates=args.max_candidates, seed=args.seed)
     results = search(alg, spec)
     if spec.strategy == "grid":
@@ -227,6 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--product", default=None)
     v.add_argument("--axiom", required=True, choices=sorted(_AXIOMS))
     v.add_argument("--report", default=None, help="write a structured report")
+    v.set_defaults(run=_cmd_verify)
 
     vo = sub.add_parser("verify-op", help="check an operator identity")
     vo.add_argument("algebra")
@@ -235,6 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     vo.add_argument("--kind", required=True, choices=sorted(_OP_KINDS))
     vo.add_argument("--weight", default="0", help="rational 'p' or 'p/q'")
     vo.add_argument("--report", default=None)
+    vo.set_defaults(run=_cmd_verify_op)
 
     c = sub.add_parser("construct", help="build a bracket from a recipe")
     c.add_argument("algebra")
@@ -247,6 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--weight", default="0")
     c.add_argument("--name", default=None, help="name of the new product")
     c.add_argument("--out", default=None, help="output algebra file")
+    c.set_defaults(run=_cmd_construct)
 
     s = sub.add_parser("search", help="search for forms or operators")
     s.add_argument("algebra")
@@ -260,22 +254,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-candidates", type=int, default=100000)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--report", default=None)
+    s.set_defaults(run=_cmd_search)
 
     st = sub.add_parser("selftest", help="verify every theorem on the catalog")
     st.add_argument("--workers", type=int, default=None)
+    st.set_defaults(run=_cmd_selftest)
 
-    sub.add_parser("catalog", help="list built-in algebras")
+    sub.add_parser("catalog", help="list built-in algebras").set_defaults(
+        run=_cmd_catalog)
     return parser
-
-
-_COMMANDS = {
-    "verify": _cmd_verify,
-    "verify-op": _cmd_verify_op,
-    "construct": _cmd_construct,
-    "search": _cmd_search,
-    "selftest": _cmd_selftest,
-    "catalog": _cmd_catalog,
-}
 
 
 def run_cli(argv=None, out=None) -> int:
@@ -285,10 +272,8 @@ def run_cli(argv=None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if getattr(args, "command", None) == "search" and args.strategy is None:
-        args.strategy = "grid" if args.target == "rb_operator" else "solve"
     try:
-        return _COMMANDS[args.command](args, out)
+        return args.run(args, out)
     except InternalConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return 3

@@ -1,13 +1,20 @@
 import io
 import json
 
+import pytest
+
+import algcheck.inheritance as inheritance
 from algcheck.algebra import Algebra
 from algcheck.catalog import catalog_names
 from algcheck.cli import run_cli
-from algcheck.files import dumps, load
+from algcheck.constructions import (det_bracket_2, det_bracket_3, f_bracket,
+                                    fD_bracket, prelie_from_comm_assoc,
+                                    thm36_bracket)
+from algcheck.files import dumps, dumps_report, load
 from algcheck.catalog import get
 from algcheck.linalg import LinearMap
 from algcheck.operators import check_rota_baxter
+from algcheck.reports import InternalConsistencyError
 from algcheck.tensor import StructureTensor
 
 
@@ -135,6 +142,21 @@ def test_verify_op_unknown_map_exits_2():
     assert code == 2
 
 
+def test_verify_op_report_file(tmp_path):
+    path = tmp_path / "rep.json"
+    code, text = run("verify-op", "q3", "--map", "P", "--kind", "rb",
+                     "--weight", "1", "--report", str(path))
+    assert code == 0
+    assert text.startswith("q3.prod rb(P, weight 1): pass")
+    q3 = get("q3")
+    rep = check_rota_baxter(q3.products["prod"], q3.maps["P"], 1)
+    assert path.read_text(encoding="utf-8") == dumps_report(
+        "q3", [("prod:rb:P", rep)])
+    doc = json.loads(path.read_text())
+    assert doc["format"] == "algcheck-report/1"
+    assert [r["verdict"] for r in doc["results"]] == ["pass"]
+
+
 # -------------------------------------------------------------- construct
 
 
@@ -203,6 +225,150 @@ def test_construct_precondition_violation_exits_2():
     # f-bracket on a non-Lie product
     code, _ = run("construct", "q3", "--recipe", "f-bracket", "--form", "x")
     assert code == 2
+
+
+# Each recipe on an input it accepts: (the algebra and the options after
+# it, the construction called directly on (algebra, product), its claims).
+RECIPE_RUNS = {
+    "f-bracket": (["heisenberg_line", "--form", "f"],
+                  lambda a, t: f_bracket(t, a.forms["f"]), ("3lie",)),
+    "fD-bracket": (["qt4", "--product", "prod", "--form", "f", "--map", "D"],
+                   lambda a, t: fD_bracket(t, a.forms["f"], a.maps["D"]),
+                   ("3lie",)),
+    "det2": (["qt2_deg3", "--product", "prod", "--map", "D1", "--map2", "D2"],
+             lambda a, t: det_bracket_2(t, a.maps["D1"], a.maps["D2"]),
+             ("3lie",)),
+    "det3": (["qt3_deg4", "--map", "D1", "--map2", "D2", "--map3", "D3"],
+             lambda a, t: det_bracket_3(t, a.maps["D1"], a.maps["D2"],
+                                        a.maps["D3"]),
+             ("3lie",)),
+    "derived": (["a4", "--map", "D", "--weight", "0"],
+                lambda a, t: inheritance.derived_nbracket(t, a.maps["D"], 0),
+                ("3lie",)),
+    "naive": (["a4", "--map", "D"],
+              lambda a, t: inheritance.naive_bracket(t, a.maps["D"]), ()),
+    "lts": (["nonabelian2"], lambda a, t: inheritance.lts_from_lie(t),
+            ("lts",)),
+    "prelie-from-assoc": (
+        ["qt4", "--product", "prod", "--map", "D"],
+        lambda a, t: prelie_from_comm_assoc(t, a.maps["D"]), ("prelie",)),
+    "thm36": (["qt4", "--product", "prelie", "--map", "P0", "--form", "f"],
+              lambda a, t: thm36_bracket(t, a.maps["P0"], a.forms["f"]),
+              ("3lie",)),
+}
+
+
+@pytest.mark.parametrize("recipe", sorted(RECIPE_RUNS))
+def test_each_recipe_writes_its_construction_called_directly(recipe,
+                                                             tmp_path):
+    options, build, claims = RECIPE_RUNS[recipe]
+    alg = get(options[0])
+    if "--product" in options:
+        pname = options[options.index("--product") + 1]
+    else:
+        (pname,) = alg.products
+    result = build(alg, alg.products[pname])
+    name = recipe.replace("-", "_")
+    expected = dumps(alg.with_product(name, result, claims))
+    path = tmp_path / "out.json"
+    argv = ["construct", options[0], "--recipe", recipe, *options[1:]]
+    code, text = run(*argv, "--out", str(path))
+    assert code == 0
+    assert text == (f"wrote {path} with new product {name!r} "
+                    f"({len(result.entries)} stored entries)\n")
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert run(*argv) == (0, expected)
+
+
+def test_construct_help_lists_the_recipes_in_table_order(capsys):
+    assert run("construct", "--help") == (0, "")
+    choices = "{" + ",".join(RECIPE_RUNS) + "}"
+    assert f"--recipe {choices}" in capsys.readouterr().out
+
+
+# (flag, a construct command that needs it but leaves it out, its kind)
+INGREDIENTS = [
+    ("--form", ["heisenberg_line", "--recipe", "f-bracket"], "form"),
+    ("--map", ["a4", "--recipe", "naive"], "map"),
+    ("--map2", ["qt2_deg3", "--product", "prod", "--recipe", "det2",
+                "--map", "D1"], "map"),
+    ("--map3", ["qt3_deg4", "--recipe", "det3", "--map", "D1",
+                "--map2", "D2"], "map"),
+]
+
+
+@pytest.mark.parametrize("flag, argv, kind", INGREDIENTS)
+def test_construct_missing_ingredient_names_its_flag(flag, argv, kind,
+                                                     capsys):
+    assert run("construct", *argv) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: {flag} is required for this operation\n")
+
+
+@pytest.mark.parametrize("flag, argv, kind", INGREDIENTS)
+def test_construct_unknown_ingredient_names_it(flag, argv, kind, capsys):
+    assert run("construct", *argv, flag, "nope") == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: algebra has no {kind} named 'nope'\n")
+
+
+def test_construct_ingredients_are_picked_in_argument_order(capsys):
+    # fD_bracket(t, f, D) asks for the form first, thm36_bracket(t, P, f)
+    # for the map
+    assert run("construct", "qt4", "--product", "prod",
+               "--recipe", "fD-bracket")[0] == 2
+    assert run("construct", "qt4", "--product", "prelie",
+               "--recipe", "thm36")[0] == 2
+    assert capsys.readouterr().err == (
+        "error: --form is required for this operation\n"
+        "error: --map is required for this operation\n")
+
+
+def test_internal_consistency_error_exits_3(monkeypatch, capsys):
+    def broken(lie):
+        raise InternalConsistencyError("forced for the test")
+
+    monkeypatch.setattr(inheritance, "lts_from_lie", broken)
+    assert run("construct", "nonabelian2", "--recipe", "lts") == (3, "")
+    assert capsys.readouterr().err == (
+        "internal consistency error: forced for the test\n")
+
+
+def test_a_replaced_product_takes_only_the_new_claims(tmp_path):
+    # the naive bracket of a4 replaces the 3-Lie bracket under its name, so
+    # none of the old bracket's claims may stay in the file
+    path = tmp_path / "nb.json"
+    code, _ = run("construct", "a4", "--recipe", "naive", "--map", "D",
+                  "--name", "bracket", "--out", str(path))
+    assert code == 0
+    alg = load(path)
+    assert alg.claims == {} and alg.operator_claims == ()
+    assert alg.maps == get("a4").maps
+    code, text = run("verify", str(path), "--axiom", "jacobi")
+    assert code == 1
+    assert "counterexample at (x1, x2, x3, x1, x4) [indices [0, 1, 2, 0, 3]]" \
+        in text
+
+
+def test_replacing_a_product_with_its_own_bracket_keeps_the_file(tmp_path):
+    path = tmp_path / "det2.json"
+    code, _ = run("construct", "qt2_deg3", "--product", "prod",
+                  "--recipe", "det2", "--map", "D1", "--map2", "D2",
+                  "--out", str(path))
+    assert code == 0
+    assert path.read_bytes() == dumps(get("qt2_deg3")).encode("utf-8")
+
+
+def test_with_product_claims():
+    a4 = get("a4")
+    t = a4.products["bracket"]
+    added = a4.with_product("other", t)
+    assert added.claims == a4.claims
+    assert added.operator_claims == a4.operator_claims
+    replaced = a4.with_product("bracket", t)
+    assert replaced.claims == {} and replaced.operator_claims == ()
+    assert a4.with_product("bracket", t, ["3lie"]).claims == {
+        "bracket": ("3lie",)}
 
 
 # ----------------------------------------------------------------- search
