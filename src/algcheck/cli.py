@@ -129,6 +129,7 @@ def _cmd_construct(args, out):
     from . import files
     alg = _load_algebra(args.algebra)
     pname = _pick_product(alg, args.product)
+    # parsed for every recipe, so a malformed --weight is always reported
     weight = parse_rational(args.weight)
     module, function, options, claims = _RECIPES[args.recipe]
     inputs = [weight if o == "weight" else _pick(alg, args, o)
