@@ -220,14 +220,13 @@ def _least_composed(t: StructureTensor, blocks, compositions):
 
     landers = [_lander(group, rises, place, *composition)
                for composition in compositions]
-    for first in range(d):
+
+    def landed(first):
         diff = {}
         for land in landers:
             land(first, diff)
-        found = _least_code(diff, place, d, q * q)
-        if found:
-            return found
-    return None
+        return diff
+    return _least_code(map(landed, range(d)), place, d, q * q)
 
 
 def _places(d, length):
@@ -237,16 +236,18 @@ def _places(d, length):
     return [d ** (length - p) for p in range(length)]
 
 
-def _least_code(diff, place, d, scale):
+def _least_code(diffs, place, d, scale):
     """``(key, lhs - rhs)`` at the tuple of the least code with a nonzero
-    sum in ``diff``, each coordinate the sum over ``scale``, or ``None``."""
-    nonzero = [code for code, a in diff.items() if a]
-    if not nonzero:
-        return None
-    code = min(nonzero)
-    base = code - code % d
-    return (tuple(base // w % d for w in place),
-            tuple(rational(diff.get(base + k, 0), scale) for k in range(d)))
+    sum in the first of the per-first-index dicts ``diffs`` that has one
+    (later ones are never summed), each coordinate the sum over ``scale``."""
+    for diff in diffs:
+        nonzero = [code for code, a in diff.items() if a]
+        if nonzero:
+            base = min(nonzero) // d * d
+            return (tuple(base // w % d for w in place),
+                    tuple(rational(diff.get(base + k, 0), scale)
+                          for k in range(d)))
+    return None
 
 
 def _lander(group, rises, place, coeff, inner, outer):

@@ -127,12 +127,15 @@ def _cmd_verify_op(args, out):
 
 def _cmd_construct(args, out):
     from . import files
+    module, function, options, claims = _RECIPES[args.recipe]
+    for option in ("form", "map", "map2", "map3", "weight"):
+        if getattr(args, option) is not None and option not in options:
+            raise ArgumentError(
+                f"--{option} is not taken by the recipe {args.recipe!r}")
     alg = _load_algebra(args.algebra)
     pname = _pick_product(alg, args.product)
-    # parsed for every recipe, so a malformed --weight is always reported
-    weight = parse_rational(args.weight)
-    module, function, options, claims = _RECIPES[args.recipe]
-    inputs = [weight if o == "weight" else _pick(alg, args, o)
+    weight = "0" if args.weight is None else args.weight
+    inputs = [parse_rational(weight) if o == "weight" else _pick(alg, args, o)
               for o in options]
     build = getattr(import_module(f".{module}", __package__), function)
     result = build(alg.products[pname], *inputs)
@@ -238,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--map", default=None)
     c.add_argument("--map2", default=None)
     c.add_argument("--map3", default=None)
-    c.add_argument("--weight", default="0")
+    c.add_argument("--weight", default=None)
     c.add_argument("--name", default=None, help="name of the new product")
     c.add_argument("--out", default=None, help="output algebra file")
     c.set_defaults(run=_cmd_construct)

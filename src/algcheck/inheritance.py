@@ -6,11 +6,11 @@ again one with the same operator and weight, and those conclusions are
 unconditional, so they are re-verified here through ``reports.conclude``;
 hypotheses go through ``reports.require``.  The "naive" single-replacement
 sum is also provided: it carries no Jacobi guarantee and exists to exhibit
-the standard counterexample.  Both brackets take each entry from the
-operator identities' one statement (``operators._basis_expansion``, the rhs
-sum at a basis tuple): the derived one from the Rota-Baxter rhs, the naive
-one from the derivation rhs at weight 0, where only the one-element subsets
-carry weight.
+the standard counterexample.  The derived, derived-LTS and naive brackets
+are the rhs of an operator identity before its push on the keys they store
+(``operators._expansion``, over the input's table): the Rota-Baxter rhs, or
+for the naive one the derivation rhs at weight 0, where only one-element
+subsets carry weight; one stored skew is checked on all keys.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .constructions import (_cyclic, _cyclic_condition, _verify_annihilating,
                             f_bracket)
 from .linalg import (LinearForm, LinearMap, basis_vector, maps_commute,
                      vec_add, vec_scale, zero_vector)
-from .operators import _basis_expansion, check_derivation, check_rota_baxter
+from .operators import _expansion, check_derivation, check_rota_baxter
 from .reports import (ArgumentError, CheckReport, InternalConsistencyError,
                       PreconditionError, conclude, passing, require)
 from .scalars import norm
@@ -40,13 +40,7 @@ def derived_nbracket(t: StructureTensor, p: LinearMap, lam) -> StructureTensor:
         raise ArgumentError("operator dimension does not match the tensor")
     if not check_skew_symmetric(t).passed:
         raise ArgumentError("derived bracket needs a skew-symmetric input")
-    value = _basis_expansion(t, p.sparse_cols, lam, True)
-    try:
-        out = skew_from_values(t.dimension, t.arity, value, verify=True)
-    except ArgumentError as exc:
-        # the subset expansion of a skew bracket is skew unconditionally
-        raise InternalConsistencyError(
-            f"derived bracket of a skew input is not skew: {exc}") from exc
+    out = _expansion(t, p, lam, True, "skew")
     if check_n_jacobi(t).passed and check_rota_baxter(t, p, lam).passed:
         conclude(check_n_jacobi(out), "derived bracket: Jacobi identity")
         conclude(check_rota_baxter(out, p, lam),
@@ -194,10 +188,8 @@ def naive_bracket(t: StructureTensor, p: LinearMap) -> StructureTensor:
     Carries no Jacobi guarantee even when (t, P) is a weight-0 Rota-Baxter
     3-Lie algebra; it exists to reproduce the standard counterexample.
     """
-    value = _basis_expansion(t, p.sparse_cols, 0, False)
-    if check_skew_symmetric(t).passed:
-        return skew_from_values(t.dimension, t.arity, value, verify=True)
-    return StructureTensor.from_function(t.arity, t.dimension, "none", value)
+    return _expansion(t, p, 0, False,
+                      "skew" if check_skew_symmetric(t).passed else "none")
 
 
 def lts_from_lie(lie: StructureTensor) -> StructureTensor:
@@ -234,8 +226,7 @@ def derived_lts_bracket(lts: StructureTensor, p: LinearMap, lam) -> StructureTen
     result is again one with the same operator and weight (re-verified)."""
     require(check_lts(lts), "Lie-triple-system axioms")
     require(check_rota_baxter(lts, p, lam), "ternary Rota-Baxter identity")
-    value = _basis_expansion(lts, p.sparse_cols, lam, True)
-    out = StructureTensor.from_function(3, lts.dimension, "none", value)
+    out = _expansion(lts, p, lam, True, "none")
     conclude(check_lts(out), "derived Lie triple system: axioms")
     conclude(check_rota_baxter(out, p, lam),
              "derived Lie triple system: Rota-Baxter identity")

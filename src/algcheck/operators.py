@@ -8,9 +8,10 @@ sum over the nonempty subsets I of the positions, weighted by
 lambda**(|I|-1); the Rota-Baxter rhs applies M outside I and pushes the
 sum, the derivation rhs applies M inside I.  Every reader takes the
 identity from that statement: the per-tuple sides (``_sides``, also used
-by the pruned grid search), :func:`subset_expansion`, the per-key values of
-the derived and naive brackets (``_basis_expansion``) and the sparse
-difference (``_least_difference``).
+by the pruned grid search), :func:`subset_expansion` and ``_landings``,
+the one sparse reader of ``t.table``, behind both the checks' difference
+(``_least_difference``) and the brackets of ``inheritance`` (``_expansion``,
+the rhs before its push on every key a bracket stores).
 
 Both checks report the first failure of the per-tuple scan over
 ``tensor.basis_tuples``, scanning a prefix one by one and deciding the rest
@@ -23,7 +24,7 @@ lhs - rhs there: the terms landing on it, with rhs negated, are the
 summands of the two sides, and scalars are exact rationals.  With no
 nonzero difference a check passes with ``checked_count`` d**n.
 
-The difference is summed in ints and divided once, at the reported key.
+The landings are summed in ints and divided once per reported coordinate.
 The constants of t are scaled by their common denominator q (kept on the
 tensor, ``tensor.integer_table``), the entries of M by theirs, r, and the
 coefficients of the statement by theirs, s.  A term with f entries of M,
@@ -33,10 +34,7 @@ its value; its coefficient is multiplied by r**(top - f) too, top the
 largest f of the statement, and every term is then s r**top q times its
 value.  The landings are coded as in ``axioms`` (tuple and coordinate as
 the base-d digits of one int), so the least nonzero code names the least
-nonzero tuple.  The landings of a source key in the slots after 0, its
-tail, do not depend on the first index, except that slot 1 must rise from
-it; the tails of a key are listed in increasing order of slot 1, so those
-kept are the range past a bisection, and every tail rises inside itself.
+nonzero tuple.
 """
 
 from __future__ import annotations
@@ -48,10 +46,11 @@ from math import lcm
 
 from .axioms import _least_code, _places, check_associative
 from .linalg import LinearMap, apply_cols, maps_commute, support, vector
-from .reports import (ArgumentError, CheckReport, PreconditionError, agree,
-                      decide, failing, passing)
-from .scalars import Scalar, norm
-from .tensor import RISE, StructureTensor, basis_tuples, integer_table
+from .reports import (ArgumentError, CheckReport, InternalConsistencyError,
+                      PreconditionError, agree, decide, failing, passing)
+from .scalars import Scalar, norm, rational
+from .tensor import (RISE, StructureTensor, basis_tuples, integer_table,
+                     tensors_equal)
 
 __all__ = [
     "SubsetMode", "subset_expansion", "check_rota_baxter", "check_derivation",
@@ -129,41 +128,28 @@ def subset_expansion(t: StructureTensor, m: LinearMap, lam, args, mode):
                               [support(m(a)) for a in args], terms))
 
 
-def _basis_sums(t: StructureTensor, cols, *sides):
-    """``sums(idx)``: the list of the sums of the ``terms`` of each side of
-    ``sides`` at the basis tuple ``idx``, before any push, from the indices
-    in ``idx`` and the map's sparse columns ``cols``.  It reads only the
-    columns in ``idx``, when called, so a caller may fill ``cols`` in as it
-    goes."""
+def _sides(t: StructureTensor, cols, lam, rb):
+    """``(sums, push)`` of :func:`_identity` for the map with the sparse
+    columns ``cols``: ``sums(idx)`` is the pair of the sums of the terms of
+    each side at the basis tuple ``idx``, before any push, and
+    ``push(sums(idx))`` the pair of sides.  ``sums`` reads only the columns
+    in ``idx``, when called, so a caller may fill ``cols`` in as it goes;
+    ``push`` reads those in the support of a pushed sum.  Both sides are as
+    summed: scalars are exact, so they compare by value."""
     if len(cols) != t.dimension:
         raise ArgumentError("operator dimension does not match the tensor")
+    (lpush, _), (rpush, _) = statement = _identity(norm(lam), t.arity, rb)
 
     def sums(idx):
         imgs = [cols[i] for i in idx]
-        return [t.contract(*_slots(idx, imgs, terms)) for _, terms in sides]
-    return sums
-
-
-def _sides(t: StructureTensor, cols, lam, rb):
-    """``(sums, push)`` of :func:`_identity` for the map with the sparse
-    columns ``cols``: ``sums(idx)`` is the pair of sums of
-    :func:`_basis_sums`, and ``push(sums(idx))`` the pair of sides, which
-    reads the columns in the support of a pushed sum.  Both sides are as
-    summed: scalars are exact, so they compare by value."""
-    (lpush, _), (rpush, _) = statement = _identity(norm(lam), t.arity, rb)
+        return [t.contract(*_slots(idx, imgs, terms))
+                for _, terms in statement]
 
     def push(s):
         lhs, rhs = s
         return (apply_cols(cols, lhs) if lpush else lhs,
                 apply_cols(cols, rhs) if rpush else rhs)
-    return _basis_sums(t, cols, *statement), push
-
-
-def _basis_expansion(t: StructureTensor, cols, lam, rb):
-    """``value(idx)``: the rhs sum of :func:`_identity` at the basis tuple
-    ``idx``, before its push: the subset expansion."""
-    sums = _basis_sums(t, cols, _identity(norm(lam), t.arity, rb)[1])
-    return lambda idx: sums(idx)[0]
+    return sums, push
 
 
 def _decide(name, t: StructureTensor, m: LinearMap, lam, rb) -> CheckReport:
@@ -217,28 +203,22 @@ def check_derivation(t: StructureTensor, dmap: LinearMap, lam) -> CheckReport:
     return _decide("derivation", t, dmap, lam, False)
 
 
-def _least_difference(t: StructureTensor, m: LinearMap, lam, rb: bool):
-    """``(key, lhs - rhs)`` at the least scanned tuple where the identity
-    ``_identity(lam, n, rb)`` of the map M = ``m`` has a nonzero
-    difference, or ``None``; its terms are the statement's, rhs negated.
+def _landings(t: StructureTensor, m: LinearMap, terms, gap):
+    """``(scale, sums)``: ``sums`` yields, for each first index in
+    increasing order, the dict of scale times the sum of the terms
+    ``(pulled, coeff, pushed)`` of the map M = ``m`` landing on the tuples
+    with that first index that rise by at least ``gap`` (``None``: any
+    tuple) at each slot, by the code of tuple and coordinate (``_places``).
 
     All terms landing on a tuple share its first index, so they are
-    expanded one first index at a time, in increasing order, and the least
-    nonzero code of the first index that has one is the least overall.
-    A term pulling slot 0 onto the first index i starts at a source whose
-    first index j has M[j, i] != 0: column i of M.  The landings of a
-    source key in the slots after 0, its tail, are the same for every
-    first index, so they are set up once per key and pulled slots, in
-    increasing order of slot 1; those that rise from the first index as
-    the scanned tuples do (``tensor.RISE``) are a range of them, found by
-    bisection, and each tail rises as they do.
-
-    With M zero there is no difference: every term of both statements
-    carries at least one entry of M (a pulled slot or a push), so every
-    term vanishes.
+    expanded one first index at a time.  A term pulling slot 0 onto the
+    first index i starts at a source whose first index j has M[j, i] != 0:
+    column i of M.  The landings of a source key in the slots after 0, its
+    tail, do not depend on the first index, except that slot 1 must rise
+    from it, so they are set up once per key and pulled slots, in
+    increasing order of slot 1; those kept are a range of them, past a
+    bisection, and each tail rises inside itself.
     """
-    if not any(m.sparse_cols):
-        return None
     n, d = t.arity, t.dimension
     q, rows = integer_table(t)
     r = lcm(*(a.denominator for col in m.sparse_cols for _, a in col))
@@ -248,9 +228,6 @@ def _least_difference(t: StructureTensor, m: LinearMap, lam, rb: bool):
     for i, col in enumerate(cols):
         for j, a in col:
             mrows[j].append((i, a))
-    (lpush, lterms), (rpush, rterms) = _identity(norm(lam), n, rb)
-    terms = ([(pulled, c, lpush) for pulled, c in lterms]
-             + [(pulled, -c, rpush) for pulled, c in rterms])
     # a term with f entries of M is scaled by r**f, its coefficient by s
     # and r**(top - f) more, so that every term is scale times its value
     s = lcm(*(c.denominator for _, c, _ in terms))
@@ -258,11 +235,8 @@ def _least_difference(t: StructureTensor, m: LinearMap, lam, rb: bool):
     terms = [(pulled, c.numerator * (s // c.denominator)
               * r ** (top - pulled.bit_count() - push), push)
              for pulled, c, push in terms]
-    scale = q * s * r ** top
     place = _places(d, n)
-    # a scanned tuple rises by at least gap at each slot; -d bounds nothing
-    gap = RISE[t.symmetry]
-    gap = -d if gap is None else gap
+    gap = -d if gap is None else gap  # -d bounds nothing
     push_any = any(push for _, _, push in terms)
     keyed, shared = {}, {}
 
@@ -303,7 +277,7 @@ def _least_difference(t: StructureTensor, m: LinearMap, lam, rb: bool):
                                [tip[1:3] for tip in tips])
         return got
 
-    for first in range(d):
+    def landed(first):
         diff = {}
         get = diff.get
         lead, least = first * place[0], first + gap
@@ -320,10 +294,53 @@ def _least_difference(t: StructureTensor, m: LinearMap, lam, rb: bool):
                         base, w = lead + code, w0 * c
                         for k, a in out:
                             diff[base + k] = get(base + k, 0) + w * a
-        found = _least_code(diff, place, d, scale)
-        if found:
-            return found
-    return None
+        return diff
+    return q * s * r ** top, map(landed, range(d))
+
+
+def _least_difference(t: StructureTensor, m: LinearMap, lam, rb: bool):
+    """``(key, lhs - rhs)`` at the least scanned tuple where the identity
+    ``_identity(lam, n, rb)`` of the map M = ``m`` has a nonzero
+    difference, or ``None``: the least nonzero code of the landings of its
+    terms, rhs negated, that rise as the scanned tuples do
+    (``tensor.RISE``), at the first index that has one.
+
+    With M zero there is no difference: every term of both statements
+    carries at least one entry of M (a pulled slot or a push), so every
+    term vanishes.
+    """
+    if not any(m.sparse_cols):
+        return None
+    (lpush, lterms), (rpush, rterms) = _identity(norm(lam), t.arity, rb)
+    scale, sums = _landings(t, m, [(pulled, c, lpush) for pulled, c in lterms]
+                            + [(pulled, -c, rpush) for pulled, c in rterms],
+                            RISE[t.symmetry])
+    return _least_code(sums, _places(t.dimension, t.arity), t.dimension, scale)
+
+
+def _expansion(t: StructureTensor, m: LinearMap, lam, rb: bool, symmetry):
+    """The tensor stored with ``symmetry`` whose product at each of its keys
+    is the rhs sum of ``_identity(lam, n, rb)`` there, before its push: the
+    landings of the rhs terms with no push.  Stored skew, it must equal the
+    same expansion on all keys, as the rhs of a skew product is skew."""
+    if m.dimension != t.dimension:
+        raise ArgumentError("operator dimension does not match the tensor")
+    n, d = t.arity, t.dimension
+    _, terms = _identity(norm(lam), n, rb)[1]
+    scale, sums = _landings(t, m, [(pulled, c, False) for pulled, c in terms],
+                            RISE[symmetry])
+    place, entries = _places(d, n), {}
+    for diff in sums:
+        for code, a in sorted(diff.items()):
+            if a:
+                key = tuple(code // w % d for w in place)
+                entries.setdefault(key, [0] * d)[code % d] = rational(a, scale)
+    out = StructureTensor(n, d, symmetry, entries)
+    if symmetry == "skew" and not tensors_equal(
+            out, _expansion(t, m, lam, rb, "none")):
+        raise InternalConsistencyError(
+            "subset expansion of a skew product is not skew-symmetric")
+    return out
 
 
 def check_duality(t: StructureTensor, p: LinearMap, lam) -> CheckReport:

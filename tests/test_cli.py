@@ -324,6 +324,26 @@ def test_construct_ingredients_are_picked_in_argument_order(capsys):
         "error: --map is required for this operation\n")
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["nonabelian2", "--recipe", "lts", "--map", "P", "--form", "nope",
+      "--weight", "5"], "--form"),
+    (["a4", "--recipe", "naive", "--map", "D", "--weight", "7"], "--weight")])
+def test_construct_rejects_an_option_its_recipe_does_not_take(
+        argv, option, tmp_path, capsys):
+    path = tmp_path / "out.json"
+    assert run("construct", *argv, "--out", str(path)) == (2, "")
+    assert not path.exists()
+    recipe = argv[argv.index("--recipe") + 1]
+    assert capsys.readouterr().err == (
+        f"error: {option} is not taken by the recipe {recipe!r}\n")
+
+
+def test_construct_derived_builds_at_weight_0_without_the_option():
+    assert run("construct", "a4", "--recipe", "derived", "--map", "D") == run(
+        "construct", "a4", "--recipe", "derived", "--map", "D",
+        "--weight", "0")
+
+
 def test_internal_consistency_error_exits_3(monkeypatch, capsys):
     def broken(lie):
         raise InternalConsistencyError("forced for the test")

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 from algcheck import selftest
+from algcheck.operators import check_duality
 from algcheck.selftest import run_selftest
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
@@ -55,3 +56,19 @@ def test_task_names_are_the_task_metrics_of_the_benchmark():
              for fn, arg in selftest.tasks()]
     assert len(set(names)) == len(names)
     assert sorted(names) == sorted(listed)
+
+
+def test_theorems_task_runs_each_duality_once(monkeypatch):
+    # a4 claims D Rota-Baxter and a derivation at weight 0: one duality
+    # check covers both claims, and both claims still print their line
+    calls = []
+
+    def counted(t, p, lam):
+        calls.append((p, lam))
+        return check_duality(t, p, lam)
+
+    monkeypatch.setattr(selftest, "check_duality", counted)
+    labels = [label for label, passed in selftest._theorems_task("a4")
+              if passed]
+    assert len(calls) == 1
+    assert labels.count("a4:duality(D)") == 2

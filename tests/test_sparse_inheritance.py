@@ -13,6 +13,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from algcheck import operators
 from algcheck.axioms import check_skew_symmetric
 from algcheck.catalog import catalog_names, get
 from algcheck.constructions import f_bracket
@@ -21,7 +22,7 @@ from algcheck.inheritance import (cor53_bracket, derived_lts_bracket,
                                   naive_bracket)
 from algcheck.linalg import LinearMap, basis_vector, support
 from algcheck.operators import SubsetMode, subset_expansion
-from algcheck.reports import ArgumentError
+from algcheck.reports import ArgumentError, InternalConsistencyError
 from algcheck.scalars import norm
 from algcheck.search import SearchSpec, search
 from algcheck.tensor import (SYMMETRIES, StructureTensor, skew_from_values,
@@ -160,12 +161,17 @@ _weights = st.sampled_from((0, 1, -1, Fraction(1, 2)))
 
 @st.composite
 def tensor_and_map(draw, symmetries=("skew",)):
-    d = draw(st.integers(2, 4))
+    n = draw(st.sampled_from((2, 3, 4)))
+    d = draw(st.integers(2, 3 if n == 4 else 4))
     symmetry = draw(st.sampled_from(symmetries))
     vec = st.lists(_scalars, min_size=d, max_size=d).map(tuple)
-    keys = stored_keys(3, d, symmetry)
-    t = StructureTensor(3, d, symmetry, dict(zip(
+    keys = stored_keys(n, d, symmetry)
+    t = StructureTensor(n, d, symmetry, dict(zip(
         keys, draw(st.lists(vec, min_size=len(keys), max_size=len(keys))))))
+    if symmetry == "skew" and draw(st.booleans()):
+        # the same skew product stored on every ordered key
+        t = StructureTensor(n, d, "none",
+                            {key: t.basis_product(key) for key in t.table})
     p = draw(st.one_of(
         st.lists(vec, min_size=d, max_size=d).map(LinearMap.from_cols),
         st.sampled_from([LinearMap.zero(d), LinearMap.identity(d),
@@ -188,3 +194,39 @@ def test_naive_bracket_matches_the_per_entry_form(instance):
     got = naive_bracket(t, p)
     event(f"{t.symmetry} input, {got.symmetry} bracket")
     assert_same_tensor(got, oracle_naive_bracket(t, p))
+
+
+def _lie_brackets():
+    return [(name, pname) for name in catalog_names()
+            for pname, claimed in get(name).claims.items() if "lie" in claimed]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.deferred(lambda: st.sampled_from(_lie_brackets())), _weights)
+def test_derived_lts_bracket_matches_the_per_entry_form(named, lam):
+    # -lam Id is Rota-Baxter of weight lam on the triple system of any Lie
+    # algebra, so every draw meets the bracket's hypotheses
+    name, pname = named
+    lts = lts_from_lie(get(name).products[pname])
+    p = LinearMap.scalar(lts.dimension, -lam)
+    assert_same_tensor(derived_lts_bracket(lts, p, lam),
+                       oracle_derived_lts_bracket(lts, p, lam))
+
+
+def test_the_skew_check_of_the_expansion_is_live(monkeypatch):
+    # cut to its one term t(M x1, x2, x3), the rhs is no longer skew in the
+    # arguments, so a bracket stored skew from it disagrees with the same
+    # expansion on all keys; the theorem makes this path unreachable
+    a4 = get("a4")
+    t, dmap = a4.products["bracket"], a4.maps["D"]
+    identity = operators._identity
+
+    def first_slot_only(lam, n, rb):
+        lhs, (pushed, _) = identity(lam, n, rb)
+        return lhs, (pushed, ((1, 1),))
+
+    monkeypatch.setattr(operators, "_identity", first_slot_only)
+    with pytest.raises(InternalConsistencyError, match="skew"):
+        derived_nbracket(t, dmap, 0)
+    with pytest.raises(InternalConsistencyError, match="skew"):
+        naive_bracket(t, dmap)

@@ -14,10 +14,11 @@ tensor is reused.  Per rung, min of ``repeat`` calls, in milliseconds:
 - ``rb``: ``check_rota_baxter(f-bracket, -Id, 1)``;
 - ``perturbed``: ``check_n_jacobi`` on the f-bracket with one coordinate
   moved by ``inputs.perturb`` (seeded with n);
-- ``derived`` (n <= 5): ``derived_nbracket(f-bracket,
+- ``derived`` (n <= 6): ``derived_nbracket(f-bracket,
   -Id, 1)`` on a fresh tensor whose Jacobi and Rota-Baxter verdicts are
   already kept, so it times the build, its skew verification and the two
-  checks of the result that conclude it.
+  checks of the result that conclude it; its peak holds the expansion on
+  all keys that the skew verification compares with.
 
 One more rung times ``check_prelie`` on the x.D1(y) product of
 ``qt3_deg4``, the small decided check whose set-up ``_least_composed`` does
@@ -48,7 +49,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
-DERIVED_MAX_N = 5  # derived_nbracket takes about 1 s at gl(5)
+DERIVED_MAX_N = 6  # derived_nbracket takes about 0.4 s at gl(6)
 
 from algcheck.axioms import check_n_jacobi, check_prelie  # noqa: E402
 from algcheck.catalog import get  # noqa: E402
