@@ -321,26 +321,33 @@ def _least_difference(t: StructureTensor, m: LinearMap, lam, rb: bool):
 def _expansion(t: StructureTensor, m: LinearMap, lam, rb: bool, symmetry):
     """The tensor stored with ``symmetry`` whose product at each of its keys
     is the rhs sum of ``_identity(lam, n, rb)`` there, before its push: the
-    landings of the rhs terms with no push.  Stored skew, it must equal the
-    same expansion on all keys, as the rhs of a skew product is skew."""
+    landings of the rhs terms with no push.  They are summed once, on all
+    keys; stored skew, the ascending entries are read off those sums, and
+    the stored tensor must equal them on all keys, as the rhs of a skew
+    product is skew."""
     if m.dimension != t.dimension:
         raise ArgumentError("operator dimension does not match the tensor")
     n, d = t.arity, t.dimension
     _, terms = _identity(norm(lam), n, rb)[1]
     scale, sums = _landings(t, m, [(pulled, c, False) for pulled, c in terms],
-                            RISE[symmetry])
+                            None)
     place, entries = _places(d, n), {}
     for diff in sums:
         for code, a in sorted(diff.items()):
             if a:
                 key = tuple(code // w % d for w in place)
                 entries.setdefault(key, [0] * d)[code % d] = rational(a, scale)
-    out = StructureTensor(n, d, symmetry, entries)
-    if symmetry == "skew" and not tensors_equal(
-            out, _expansion(t, m, lam, rb, "none")):
+    out = StructureTensor(n, d, "none", entries)
+    if symmetry == "none":
+        return out
+    rise = RISE[symmetry]
+    stored = StructureTensor(n, d, symmetry, {
+        key: v for key, v in out.entries.items()
+        if all(b - a >= rise for a, b in zip(key, key[1:]))})
+    if not tensors_equal(stored, out):
         raise InternalConsistencyError(
             "subset expansion of a skew product is not skew-symmetric")
-    return out
+    return stored
 
 
 def check_duality(t: StructureTensor, p: LinearMap, lam) -> CheckReport:

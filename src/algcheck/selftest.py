@@ -7,8 +7,10 @@ conclusions and raise ``InternalConsistencyError`` on violation, so a clean
 selftest also certifies that the hard-error path never fires on the catalog.
 
 The ``ALGCHECK_WORKERS`` environment variable (default 1) dispatches
-independent per-algebra task bundles to a process pool; tasks are pure and
-named by strings, so results are deterministic regardless of worker count.
+independent per-algebra task bundles to that many forked children, which
+take the job indices one at a time from one pipe; tasks are pure and named
+by strings, so results are deterministic regardless of worker count.
+Without ``os.fork`` the tasks run serially.
 """
 
 from __future__ import annotations
@@ -194,7 +196,7 @@ def _search_task(name):
 
 
 def tasks():
-    """Picklable (function, argument) pairs, independent of each other."""
+    """(function, argument) pairs, independent of each other."""
     jobs = []
     for name in catalog_names():
         jobs.append((_claims_task, name))
@@ -210,6 +212,87 @@ def _run(job):
     return fn(arg)
 
 
+def _worker(jobs, todo, result):
+    """A forked child's life: run the jobs whose indices it reads from the
+    pipe ``todo`` until it is empty, then write ``{index: batch}``, or the
+    exception a job raised and its traceback, pickled to the pipe
+    ``result``.  It leaves only through ``os._exit``, so it never runs the
+    parent's exit handlers or flushes the parent's buffered output a second
+    time."""
+    status = 1
+    try:
+        import pickle
+        batches = {}
+        try:
+            while index := os.read(todo, 1):
+                batches[index[0]] = _run(jobs[index[0]])
+        except Exception as exc:
+            import traceback
+            batches = exc, traceback.format_exc()
+        data = pickle.dumps(batches)
+        with os.fdopen(result, "wb") as out:
+            out.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(pid, result):
+    """``(pid, wait status, pickled bytes)`` of a child once it has left."""
+    with os.fdopen(result, "rb") as fh:
+        data = fh.read()
+    return pid, os.waitpid(pid, 0)[1], data
+
+
+def _fork_pool(jobs, workers):
+    """The batches of ``jobs`` in order, run by ``workers`` forked children,
+    at most one per job, that pull job indices, one byte each, from one pipe
+    filled beforehand.
+
+    The children start from the parent's imported modules, and the caller
+    must run no other thread, as with any fork.  The parent runs no job, so
+    nothing it keeps, such as the verdicts kept on the catalog's tensors,
+    carries over from one call to the next.  A job's exception is raised
+    again here, and only once every child has been reaped."""
+    import pickle  # here: importing this module or a serial run needs none
+    if len(jobs) >= 256:
+        raise ValueError(
+            f"{len(jobs)} selftest jobs: a pool takes at most 255")
+    todo, fill = os.pipe()
+    os.write(fill, bytes(range(len(jobs))))
+    os.close(fill)
+    children = []
+    try:
+        for _ in range(min(workers, len(jobs))):
+            result, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(result)
+                os.close(write)
+                raise
+            if pid == 0:
+                _worker(jobs, todo, write)
+            os.close(write)
+            children.append((pid, result))
+    finally:
+        os.close(todo)
+        left = [_reap(pid, result) for pid, result in children]
+    batches = {}
+    for pid, status, data in left:
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            raise RuntimeError(f"selftest worker {pid} left no result: " + (
+                f"killed by signal {-code}" if code < 0
+                else f"exit status {code}"))
+        got = pickle.loads(data)
+        if isinstance(got, tuple):
+            exc, text = got
+            raise exc from RuntimeError(f"in selftest worker {pid}:\n{text}")
+        batches.update(got)
+    return [batches[i] for i in range(len(jobs))]
+
+
 def run_selftest(workers=None):
     """Returns (all_passed, list of "PASS/FAIL label" lines).
 
@@ -219,13 +302,8 @@ def run_selftest(workers=None):
     if workers is None:
         workers = int(os.environ.get("ALGCHECK_WORKERS", "1"))
     jobs = tasks()
-    if workers > 1:
-        # imported here: a serial run needs no pool, and its modules are
-        # slow to import
-        from concurrent.futures import ProcessPoolExecutor
-        # a forking pool starts all its workers at once: no more than jobs
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            batches = list(pool.map(_run, jobs))
+    if workers > 1 and hasattr(os, "fork"):
+        batches = _fork_pool(jobs, workers)
     else:
         batches = [_run(job) for job in jobs]
     lines = []

@@ -505,6 +505,19 @@ def test_selftest_two_workers_print_the_single_worker_output():
     assert text1.endswith("selftest: all passed (125 checks)\n")
 
 
+def test_selftest_worker_internal_error_exits_3(monkeypatch, capsys):
+    from algcheck import selftest
+
+    def broken(name):
+        raise InternalConsistencyError(f"theorem failed on {name}")
+
+    monkeypatch.setattr(selftest, "tasks", lambda: [(broken, "q3")] * 2)
+    code, text = run("selftest", "--workers", "2")
+    assert code == 3 and text == ""
+    assert capsys.readouterr().err == (
+        "internal consistency error: theorem failed on q3\n")
+
+
 # -------------------------------------------------------------- catalog
 
 

@@ -671,3 +671,15 @@ def test_scalar_operators_pass_past_the_prefix(lam):
             m = LinearMap.scalar(t.dimension, c)
             got, want = check(t, m, lam), oracle(t, m, lam)
             assert want.passed and got == want and repr(got) == repr(want)
+
+
+def test_a_skew_expansion_of_a_product_that_is_not_skew_is_an_internal_error():
+    # e0 e1 = e0 and e1 e0 = 0: with Id at weight 0 the rhs is 2 e0 e1,
+    # which is not skew, so its ascending entries are not the whole sum
+    t = StructureTensor(2, 2, "none", {(0, 1): [1, 0]})
+    assert operators._expansion(t, LinearMap.identity(2), 0, True,
+                                "none").entries == {(0, 1): (2, 0)}
+    with pytest.raises(InternalConsistencyError,
+                       match="subset expansion of a skew product is not "
+                             "skew-symmetric"):
+        operators._expansion(t, LinearMap.identity(2), 0, True, "skew")

@@ -89,12 +89,18 @@ print([m for m in ("concurrent.futures.process", "multiprocessing",
                    "logging", "json", "algcheck.files",
                    "algcheck.inheritance", "algcheck.selftest")
        if m in sys.modules])
+import algcheck.selftest
+print("pickle" in sys.modules)
 ok, lines = algcheck.run_selftest(workers=2)
 print(ok, len(lines), sum(line.startswith("PASS ") for line in lines))
+print([m for m in ("concurrent.futures.process", "multiprocessing")
+       if m in sys.modules])
 """)
-    loaded, selftest = out.splitlines()
+    loaded, pickled, selftest, pool = out.splitlines()
     assert ast.literal_eval(loaded) == []
+    assert pickled == "False"  # only the pool pickles
     assert selftest == "True 125 125"
+    assert ast.literal_eval(pool) == []  # the pool is os.fork and pipes
 
 
 def test_import_and_catalog_leave_dataclasses_inspect_and_typing_out():
