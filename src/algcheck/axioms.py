@@ -25,11 +25,12 @@ vectors, stated once as data, ``(coeff, inner, outer)`` per composition.
 Their scans visit blocks of ``basis_tuples`` concatenated: ascending xs then
 ascending ys for n-Jacobi, i < j then any k for pre-Lie, ascending triples
 for the binary Jacobi identity, every triple for associativity and every
-5-tuple for the derivation axiom.  They scan the first ``reports._PREFIX``
-tuples one by one, each side one contraction of its compositions
-(``_composed_side``), and decide the rest from the sparse difference of the
-two sides (:func:`reports.decide`), which ``_least_composed`` builds from
-``t.table`` alone, from the same compositions with those of rhs negated.
+5-tuple for the derivation axiom.  They decide the scan from the sparse
+difference of the two sides (:func:`reports.decide`), which
+``_least_composed`` builds from ``t.table`` alone, from the same
+compositions with those of rhs negated; only a failing check evaluates its
+sides one tuple, the one it reports, each side one contraction of its
+compositions (``_composed_side``).
 A term of a composition takes an inner source key J of the table, a nonzero
 coordinate c at v of its product, and an outer source key K with v in the
 slot of the inner product; it lands on the tuple whose positions J and K,
@@ -126,16 +127,6 @@ def _require_skew(t):
             f"(violation at basis tuple {rep.counterexample.indices})")
 
 
-def _block_tuples(d, blocks):
-    """Lazy lex-order iterator over the tuples scanned for ``blocks``: one
-    tuple of ``basis_tuples(k, d, symmetry)`` per block ``(k, symmetry)``,
-    concatenated."""
-    (k, symmetry), rest = blocks[0], blocks[1:]
-    for head in basis_tuples(k, d, symmetry):
-        for tail in _block_tuples(d, rest) if rest else ((),):
-            yield head + tail
-
-
 def _composed_side(t: StructureTensor, compositions, idx):
     """The sum of ``compositions`` at the basis tuple ``idx``, as one
     contraction with one term per composition; a coefficient other than 1
@@ -152,10 +143,11 @@ def _composed_side(t: StructureTensor, compositions, idx):
 
 def _decide_composed(name, count, t: StructureTensor, blocks, lhs,
                      rhs) -> CheckReport:
-    """The report of ``first_failure`` over the tuples of ``blocks`` with the
-    sides ``lhs`` and ``rhs``, sums of compositions, past the prefix from
-    the least tuple where lhs - rhs is nonzero."""
-    return decide(name, count, _block_tuples(t.dimension, blocks),
+    """The report of ``first_failure`` over the tuples of ``blocks`` (one
+    tuple of ``basis_tuples(k, d, symmetry)`` per block ``(k, symmetry)``,
+    concatenated, in lex order) with the sides ``lhs`` and ``rhs``, sums of
+    compositions, decided from the least tuple where lhs - rhs is nonzero."""
+    return decide(name, count,
                   lambda idx: (_composed_side(t, lhs, idx),
                                _composed_side(t, rhs, idx)),
                   lambda: _least_composed(

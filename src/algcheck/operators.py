@@ -14,8 +14,9 @@ the one sparse reader of ``t.table``, behind both the checks' difference
 the rhs before its push on every key a bracket stores).
 
 Both checks report the first failure of the per-tuple scan over
-``tensor.basis_tuples``, scanning a prefix one by one and deciding the rest
-from the sparse difference of the two sides (:func:`reports.decide`).  A
+``tensor.basis_tuples``, decided from the sparse difference of the two
+sides (:func:`reports.decide`); only a failing check evaluates its sides
+one tuple, the one it reports.  A
 term takes a source key j of ``t.table`` and pulls its masked slots s back
 through M: it lands on the tuple i with i_s = j_s at the other slots and
 i_s with M[j_s, i_s] != 0 at those, times those entries, and t[j] pushed
@@ -49,8 +50,7 @@ from .linalg import LinearMap, apply_cols, maps_commute, support, vector
 from .reports import (ArgumentError, CheckReport, InternalConsistencyError,
                       PreconditionError, agree, decide, failing, passing)
 from .scalars import Scalar, norm, rational
-from .tensor import (RISE, StructureTensor, basis_tuples, integer_table,
-                     tensors_equal)
+from .tensor import RISE, StructureTensor, integer_table
 
 __all__ = [
     "SubsetMode", "subset_expansion", "check_rota_baxter", "check_derivation",
@@ -154,13 +154,12 @@ def _sides(t: StructureTensor, cols, lam, rb):
 
 def _decide(name, t: StructureTensor, m: LinearMap, lam, rb) -> CheckReport:
     """The report of the identity of ``m`` on ``t`` scanned over the basis
-    tuples keyed by the symmetry of ``t``, decided past the prefix from
+    tuples keyed by the symmetry of ``t``, decided from
     ``_least_difference``.  An unpushed lhs, the product of the images, is
     reported normalised like ``StructureTensor.evaluate``; every other side
     is reported as summed."""
     sums, push = _sides(t, m.sparse_cols, lam, rb)
     rep = decide(name, t.dimension ** t.arity,
-                 basis_tuples(t.arity, t.dimension, t.symmetry),
                  lambda idx: push(sums(idx)),
                  lambda: _least_difference(t, m, lam, rb))
     (lpush, _), _ = _identity(norm(lam), t.arity, rb)
@@ -186,8 +185,8 @@ def check_rota_baxter(t: StructureTensor, p: LinearMap, lam) -> CheckReport:
     sign, so a tuple with a repeated index passes and one of distinct
     indices fails iff its ascending form fails.  Either way the first
     failure of the full scan is the least of its permutations, so it is
-    scanned, and it is reported with the same two sides.  Past the prefix
-    the scan is decided from the sparse difference (module docstring).
+    scanned, and it is reported with the same two sides.  The scan is
+    decided from the sparse difference (module docstring).
     """
     return _decide("rota-baxter", t, p, lam, True)
 
@@ -197,8 +196,8 @@ def check_derivation(t: StructureTensor, dmap: LinearMap, lam) -> CheckReport:
 
     d of a product must equal the subset expansion with d applied inside
     each subset; weight 0 is the ordinary Leibniz rule.  The scan, and its
-    decision past the prefix, is that of :func:`check_rota_baxter`, by the
-    same argument.
+    decision from the sparse difference, is that of
+    :func:`check_rota_baxter`, by the same argument.
     """
     return _decide("derivation", t, dmap, lam, False)
 
@@ -322,29 +321,31 @@ def _expansion(t: StructureTensor, m: LinearMap, lam, rb: bool, symmetry):
     """The tensor stored with ``symmetry`` whose product at each of its keys
     is the rhs sum of ``_identity(lam, n, rb)`` there, before its push: the
     landings of the rhs terms with no push.  They are summed once, on all
-    keys; stored skew, the ascending entries are read off those sums, and
-    the stored tensor must equal them on all keys, as the rhs of a skew
-    product is skew."""
+    keys, as the nonzero ``(k, c)`` pairs of each key; stored skew, the
+    ascending entries are read off those sums, and the table of the stored
+    tensor must equal them on all keys, as the rhs of a skew product is
+    skew."""
     if m.dimension != t.dimension:
         raise ArgumentError("operator dimension does not match the tensor")
     n, d = t.arity, t.dimension
     _, terms = _identity(norm(lam), n, rb)[1]
     scale, sums = _landings(t, m, [(pulled, c, False) for pulled, c in terms],
                             None)
-    place, entries = _places(d, n), {}
+    place, pairs = _places(d, n), {}
     for diff in sums:
         for code, a in sorted(diff.items()):
             if a:
                 key = tuple(code // w % d for w in place)
-                entries.setdefault(key, [0] * d)[code % d] = rational(a, scale)
-    out = StructureTensor(n, d, "none", entries)
-    if symmetry == "none":
-        return out
-    rise = RISE[symmetry]
-    stored = StructureTensor(n, d, symmetry, {
-        key: v for key, v in out.entries.items()
-        if all(b - a >= rise for a, b in zip(key, key[1:]))})
-    if not tensors_equal(stored, out):
+                pairs.setdefault(key, []).append((code % d, rational(a, scale)))
+    rise = -d if symmetry == "none" else RISE[symmetry]  # -d bounds nothing
+    entries = {}
+    for key, got in pairs.items():
+        if all(b - a >= rise for a, b in zip(key, key[1:])):
+            value = entries[key] = [0] * d
+            for k, c in got:
+                value[k] = c
+    stored = StructureTensor(n, d, symmetry, entries)
+    if stored.table != {key: tuple(got) for key, got in pairs.items()}:
         raise InternalConsistencyError(
             "subset expansion of a skew product is not skew-symmetric")
     return stored

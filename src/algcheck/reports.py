@@ -13,17 +13,11 @@ and so re-verified.  Three gates carry that policy:
   verdicts raise :class:`InternalConsistencyError`.
 
 :func:`decide` is the scan of :func:`first_failure` for the checks that
-find their first failure past a short prefix from the sparse difference of
-their two sides, with :func:`agree` as its cross-check.
+find their first failure from the sparse difference of their two sides
+alone, with :func:`agree` as its cross-check.
 """
 
 from __future__ import annotations
-
-from itertools import islice
-
-# the tuples a decided check scans one by one before it takes the rest from
-# the least tuple where the two sides of its identity differ
-_PREFIX = 16
 
 
 class ArgumentError(ValueError):
@@ -154,34 +148,30 @@ def first_failure(name: str, checked: int, tuples, sides) -> CheckReport:
     return passing(name, checked)
 
 
-def decide(name: str, checked: int, tuples, sides, least) -> CheckReport:
-    """The report of ``first_failure(name, checked, tuples, sides)``, with
-    the tuples of the iterator ``tuples`` past the first ``_PREFIX`` decided
-    by ``least()``.
+def decide(name: str, checked: int, sides, least) -> CheckReport:
+    """The report of ``first_failure(name, checked, tuples, sides)`` over
+    the tuples a check scans in lex order, decided by ``least()``.
 
-    ``least()`` is ``(key, lhs - rhs)`` at the least tuple of ``tuples``
-    where the difference of the two sides is nonzero, or ``None``.  Its
-    builder shows, in its own docstring, that the difference it adds up at
-    a tuple is exactly lhs - rhs there.  The report is then the scan's:
+    ``least()`` is ``(key, lhs - rhs)`` at the least scanned tuple where
+    the difference of the two sides is nonzero, or ``None``.  Its builder
+    shows, in its own docstring, that the difference it adds up at a tuple
+    is exactly lhs - rhs there.  The report is then the scan's:
 
     1. *The difference is kept at the scanned tuples only.*  A term is
        dropped unless its tuple rises as the scan's tuples do (strictly in
        a ``skew`` block, weakly in a ``symmetric`` one, freely in
        ``none``), so a nonzero tuple is one the scan visits.
-    2. *Its least nonzero tuple is the scan's first failure.*  The prefix,
-       scanned one by one, is the scan's first tuples in lex order and holds
-       no failure.  That tuple alone is handed to ``first_failure`` with
-       ``sides``, so the report is the scan's by construction; were those
-       sides equal there, :func:`agree` raises
-       :class:`InternalConsistencyError`.
+    2. *Its least nonzero tuple is the scan's first failure.*  Scalars are
+       exact, so a scanned tuple fails iff its difference is nonzero, and
+       the scan meets the nonzero tuples in lex order: with none it passes,
+       and otherwise it fails first at the least.  That tuple alone is
+       handed to ``first_failure`` with ``sides``, so the report is the
+       scan's by construction; were those sides equal there, :func:`agree`
+       raises :class:`InternalConsistencyError`.
     """
-    rep = first_failure(name, checked, islice(tuples, _PREFIX), sides)
-    if not rep.passed or next(tuples, None) is None:
-        return rep
     found = least()
     if found is None:
-        return rep
-    # exact arithmetic: a nonzero difference is a failure of the sides
+        return passing(name, checked)
     key, diff = found
     return agree(first_failure(name, checked, (key,), sides),
                  failing(f"{name} difference", checked, key, diff,

@@ -7,7 +7,9 @@ target is quadratic in the unknown matrix; it is searched over the matrices
 with entries in a finite entry set, by grid or by seeded random draws.  The
 grid is exhaustive over its entry set unless ``max_candidates`` cuts it
 short: it returns every Rota-Baxter operator with entries in the set, in
-grid order.  Random draws are sound but not complete.
+grid order.  Random draws are sound but not complete; each distinct draw
+fails at its first failing basis tuple, and only one that passes them all
+is checked in full.
 
 The grid fixes the columns of the candidate one at a time and prunes.  Each
 basis tuple of the identity depends only on the columns it names and the
@@ -138,28 +140,36 @@ def _search_rb(t: StructureTensor, spec: SearchSpec) -> list:
     d = t.dimension
     lam = norm(spec.weight)
     entry_set = tuple(norm(e) for e in spec.entry_set)
-    results = []
-    seen = set()
-
-    def consider(flat):
-        if flat in seen:
-            return
-        seen.add(flat)
-        p = LinearMap.from_cols(
-            [flat[j * d:(j + 1) * d] for j in range(d)])
-        rep = check_rota_baxter(t, p, lam)
-        if rep.passed:
-            results.append(SearchResult(p, rep))
-
     if spec.strategy == "grid":
         candidates = _pruned_grid(t, lam, entry_set, spec.max_candidates)
     else:
         rng = random.Random(spec.seed)
-        candidates = (tuple(rng.choice(entry_set) for _ in range(d * d))
-                      for _ in range(spec.max_candidates))
-    for flat in candidates:
-        consider(flat)
+        draws = dict.fromkeys(tuple(rng.choice(entry_set) for _ in range(d * d))
+                              for _ in range(spec.max_candidates))
+        candidates = filter(_passes(t, lam), draws)
+    results = []
+    for flat in dict.fromkeys(candidates):  # each distinct point once
+        p = LinearMap.from_cols([flat[j * d:(j + 1) * d] for j in range(d)])
+        rep = check_rota_baxter(t, p, lam)
+        if rep.passed:
+            results.append(SearchResult(p, rep))
     return results
+
+
+def _passes(t: StructureTensor, lam):
+    """``passes(flat)``: whether the matrix ``flat`` (column-major) passes
+    every tuple ``check_rota_baxter`` scans, with the sides it scans there,
+    ``push(sums(idx))`` of ``operators._sides``; tuple by tuple, up to the
+    first failure."""
+    d = t.dimension
+    cols = [None] * d
+    sums, push = _sides(t, cols, lam, True)
+    tuples = list(basis_tuples(t.arity, d, t.symmetry))
+
+    def passes(flat):
+        cols[:] = [support(flat[j * d:(j + 1) * d]) for j in range(d)]
+        return all(lhs == rhs for lhs, rhs in map(push, map(sums, tuples)))
+    return passes
 
 
 def _pruned_grid(t: StructureTensor, lam, entry_set, cap):

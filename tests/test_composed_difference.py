@@ -1,15 +1,16 @@
 """The n-Jacobi, associativity, pre-Lie, Lie and Lie-triple-system checks
-past their prefix.
+decided from their sparse difference.
 
-Past their first ``reports._PREFIX`` tuples these checks decide the scan
-from the sparse difference of their composed sides
-(``axioms._least_composed``).  The draws here scan more tuples than the
-prefix and carry a few structure constants, often on late keys, so that
-they pass or fail late; each is checked again with no prefix at all, so
-every draw reaches the difference.  Every report must be identical to the
-full scan's, down to the int or Fraction type of each coordinate: the dense
-n-Jacobi reference of ``test_axioms`` and the associativity, pre-Lie, Lie
-and Lie-triple-system oracles of ``test_scan_oracles``.
+These checks decide the scan from the sparse difference of their composed
+sides (``axioms._least_composed``) and evaluate the sides one tuple at a
+time only at the failure they report.  The draws here scan more than 16
+tuples and carry a few structure constants, often on late keys, so that
+they pass or fail late: past the first 16 tuples of the scan ("the
+prefix", which the checks once scanned one by one).  Every report must be
+identical to the full scan's, down to the int or Fraction type of each
+coordinate: the dense n-Jacobi reference of ``test_axioms`` and the
+associativity, pre-Lie, Lie and Lie-triple-system oracles of
+``test_scan_oracles``.
 """
 
 from fractions import Fraction
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import Phase, event, find, given, settings
 from hypothesis import strategies as st
 
-from algcheck import axioms, reports
+from algcheck import axioms
 from algcheck.axioms import (check_associative, check_lie, check_lts,
                              check_n_jacobi, check_prelie)
 from algcheck.catalog import get
@@ -32,6 +33,7 @@ from algcheck.tensor import SYMMETRIES, StructureTensor, stored_keys
 from test_axioms import reference_jacobi, unsymmetric
 from test_scan_oracles import (oracle_associative, oracle_lie, oracle_lts,
                                oracle_prelie)
+from test_operators import sides_calls
 from test_sparse_constructions import gl, trace
 
 
@@ -73,7 +75,7 @@ def where(rep, scanned):
     if rep.passed:
         return "pass"
     position = scanned.index(rep.counterexample.indices)
-    return ("fail in the prefix" if position < reports._PREFIX
+    return ("fail in the prefix" if position < 16
             else "fail past the prefix")
 
 
@@ -112,7 +114,7 @@ def instances(draw):
         return kind, draw(triple_systems())
     arity, scanned = KINDS[kind][:2]
     # the least dimension whose scan is longer than the prefix, or one more
-    least = next(d for d in count(1) if len(scanned(d)) > reports._PREFIX)
+    least = next(d for d in count(1) if len(scanned(d)) > 16)
     # in half the Jacobi draws, the simple (n+1)-dimensional n-Lie algebra
     # with random signs on the last basis vectors: a bracket on late keys
     simple = arity > 2 and draw(st.booleans())
@@ -150,10 +152,10 @@ def test_composed_checks_past_the_prefix_match_the_full_scans(instance):
     want = oracle(t)
     event(f"{kind}: {where(want, scanned(t.dimension))}")
     for s in storages(t):
-        same(check(fresh(s)), want)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(reports, "_PREFIX", 0)
+        with sides_calls(axioms) as calls:
             same(check(fresh(s)), want)
+        # the sides are evaluated at the reported failure alone
+        assert calls == ([] if want.passed else [want.counterexample.indices])
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -187,47 +189,33 @@ def test_perturbed_f_bracket_fails_past_the_prefix_as_the_full_scan():
     t = StructureTensor(3, 16, "skew", {**fb.entries, (0, 1, 4): tuple(value)})
     want = oracle_jacobi(t)
     assert where(want, jacobi_scan(3, 16)) == "fail past the prefix"
-    same(check_n_jacobi(t), want)
+    with sides_calls(axioms) as calls:
+        same(check_n_jacobi(t), want)
+    assert calls == [want.counterexample.indices]
 
 
-def test_a_passing_f_bracket_scans_only_the_prefix_one_by_one(monkeypatch):
+def test_a_passing_f_bracket_never_evaluates_its_sides():
     t = fresh(gl4_f_bracket())
-    scanned = []
-    real = reports.first_failure
-
-    def counting(name, checked, tuples, sides):
-        tuples = list(tuples)
-        scanned.extend(tuples)
-        return real(name, checked, tuples, sides)
-
-    monkeypatch.setattr(reports, "first_failure", counting)
-    rep = check_n_jacobi(t)
+    with sides_calls(axioms) as calls:
+        rep = check_n_jacobi(t)
     assert rep.passed and rep.checked_count == 16 ** 5
-    assert scanned == jacobi_scan(3, 16)[:reports._PREFIX]
+    assert calls == []
 
 
-def test_a_passing_lts_scans_only_the_prefix_one_by_one(monkeypatch):
+def test_a_passing_lts_never_evaluates_its_sides():
     # the first two axioms are scanned tuple by tuple outside the decision;
-    # of the d**5 tuples of the derivation axiom only the prefix is
+    # the d**5 tuples of the derivation axiom are decided from the difference
     t = fresh(passing_instance("lts"))
-    scanned = []
-    real = reports.first_failure
-
-    def counting(name, checked, tuples, sides):
-        tuples = list(tuples)
-        scanned.extend(tuples)
-        return real(name, checked, tuples, sides)
-
-    monkeypatch.setattr(reports, "first_failure", counting)
-    rep = check_lts(t)
+    with sides_calls(axioms) as calls:
+        rep = check_lts(t)
     d = t.dimension
     assert rep.passed and rep.checked_count == 2 * d ** 3 + d ** 5
-    assert scanned == list(product(range(d), repeat=5))[:reports._PREFIX]
+    assert calls == []
 
 
 def passing_instance(kind):
-    """A product that passes the check of ``kind`` and scans more tuples
-    than the prefix."""
+    """A product that passes the check of ``kind`` and scans more than 16
+    tuples."""
     qt3 = get("qt3_deg4")
     if kind == "3-jacobi":
         return gl4_f_bracket()
@@ -247,7 +235,7 @@ def test_a_difference_the_sides_do_not_confirm_is_an_internal_error(
     _, scanned, check, _ = KINDS[kind]
     t = passing_instance(kind)
     assert check(t).passed
-    key = scanned(t.dimension)[reports._PREFIX]
+    key = scanned(t.dimension)[16]
     monkeypatch.setattr(axioms, "_least_composed",
                         lambda *args: (key, (1,) + (0,) * (t.dimension - 1)))
     with pytest.raises(InternalConsistencyError, match="sparse-difference"):

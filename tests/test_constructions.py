@@ -423,7 +423,9 @@ def pulled_back_instances(draw):
     return kind, pulled, p, lam
 
 
-@settings(max_examples=40, deadline=None)
+# derandomized: some draws cost seconds, so free draws made the test's time
+# swing from under 1 s to over 40 s between runs
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(pulled_back_instances())
 def test_det_rb_expansion_check_matches_the_full_scan_on_pulled_back_algebras(
         instance):

@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, count, product
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import Phase, event, find, given, settings
 from hypothesis import strategies as st
 
-from algcheck import operators, reports
+from algcheck import operators
 from algcheck.axioms import check_associative, check_commutative
 from algcheck.catalog import catalog_names, get, running_sum_map
 from algcheck.inheritance import naive_bracket
@@ -20,6 +21,23 @@ from algcheck.reports import (ArgumentError, InternalConsistencyError,
 from algcheck.tensor import SYMMETRIES, StructureTensor, basis_tuples, stored_keys
 
 # ---------------------------------------------------------------- oracles
+
+
+@contextmanager
+def sides_calls(module):
+    """The tuples, in call order, at which the checks of ``module`` evaluate
+    the per-tuple sides they hand ``reports.decide``."""
+    calls, real = [], module.decide
+
+    def counting(name, checked, sides, least):
+        def counted(idx):
+            calls.append(idx)
+            return sides(idx)
+        return real(name, checked, counted, least)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "decide", counting)
+        yield calls
 
 
 def oracle_rb_binary(t, p, lam):
@@ -511,11 +529,11 @@ def test_subset_expansion_is_the_dense_subset_sum(instance, lam):
 
 
 # ------------------------------------ the sparse difference past the prefix
-# Past their first reports._PREFIX tuples the checks decide the scan from
-# the sparse difference of the two sides.  The dim-3 draws above scan at most
-# 27 tuples, nearly all inside the prefix; these scan more than the prefix
-# and are sparse enough to pass, or to fail late.  Each draw is also checked
-# with no prefix at all, so every draw reaches the difference.
+# The checks decide the scan from the sparse difference of the two sides and
+# evaluate the sides one tuple at a time only at the failure they report.
+# The dim-3 draws above scan at most 27 tuples; these scan more than 16 and
+# are sparse enough to pass, or to fail late: past the first 16 tuples of
+# the scan ("the prefix", which the checks once scanned one by one).
 
 
 def _scanned(t):
@@ -537,7 +555,7 @@ def past_prefix_instances(draw):
     symmetry = draw(st.sampled_from(SYMMETRIES))
     # the least dimension whose scan is longer than the prefix, or one more
     least = next(d for d in count(1)
-                 if len(stored_keys(arity, d, symmetry)) > reports._PREFIX)
+                 if len(stored_keys(arity, d, symmetry)) > 16)
     d = least + draw(st.integers(0, 1))
     keys = stored_keys(arity, d, symmetry)
     # a few constants, often on late keys, so that many checks fail late
@@ -566,7 +584,7 @@ def _where(rep, t):
     if rep.passed:
         return "pass"
     position = _scanned(t).index(rep.counterexample.indices)
-    return ("fail in the prefix" if position < reports._PREFIX
+    return ("fail in the prefix" if position < 16
             else "fail past the prefix")
 
 
@@ -574,16 +592,15 @@ def _where(rep, t):
 @given(past_prefix_instances())
 def test_operator_checks_past_the_prefix_match_the_per_tuple_form(instance):
     t = instance[0]
-    assert len(_scanned(t)) > reports._PREFIX
+    assert len(_scanned(t)) > 16
     for check, oracle in _OPERATOR_ORACLES:
         want = oracle(*instance)
         event(f"{t.symmetry}, arity {t.arity}: {_where(want, t)}")
-        got = check(*instance)
-        assert got == want and repr(got) == repr(want)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(reports, "_PREFIX", 0)
+        with sides_calls(operators) as calls:
             got = check(*instance)
         assert got == want and repr(got) == repr(want)
+        # the sides are evaluated at the reported failure alone
+        assert calls == ([] if want.passed else [want.counterexample.indices])
 
 
 @pytest.mark.parametrize("check, oracle", _OPERATOR_ORACLES)
@@ -600,31 +617,35 @@ def test_draws_fail_past_the_prefix(check, oracle):
     assert got == want and repr(got) == repr(want)
 
 
-def test_checks_past_the_prefix_scan_no_more_tuples(monkeypatch):
-    # the passing derivation checks on the dim-20 cube scan 8,000 tuples;
-    # only the prefix and no other tuple is scanned one by one
+def test_passing_checks_on_the_cube_never_evaluate_their_sides():
+    # the passing derivation checks on the dim-20 cube scan 8,000 tuples,
+    # all decided from the difference; no tuple is evaluated one by one
     alg = get("qt3_deg4")
     cube = nary_from_associative(alg.products["prod"], 3)
-    scanned = []
-    real = reports.first_failure
-
-    def counting(name, checked, tuples, sides):
-        tuples = list(tuples)
-        scanned.extend(tuples)
-        return real(name, checked, tuples, sides)
-
-    monkeypatch.setattr(reports, "first_failure", counting)
     for name in ("D1", "D2", "D3"):
-        scanned.clear()
-        rep = check_derivation(cube, alg.maps[name], 0)
+        with sides_calls(operators) as calls:
+            rep = check_derivation(cube, alg.maps[name], 0)
         assert rep.passed and rep.checked_count == 8000
-        assert scanned == _scanned(cube)[:reports._PREFIX]
+        assert calls == []
+
+
+def test_a_failing_check_evaluates_its_sides_once_at_its_failure():
+    # D1 + Id is no derivation of the cube; its report is the scan's, and
+    # the sides are evaluated at the reported tuple alone
+    alg = get("qt3_deg4")
+    cube = nary_from_associative(alg.products["prod"], 3)
+    m = alg.maps["D1"] + LinearMap.identity(20)
+    with sides_calls(operators) as calls:
+        got = check_derivation(cube, m, 0)
+    want = seed_check_derivation(cube, m, 0)
+    assert not want.passed and got == want and repr(got) == repr(want)
+    assert calls == [want.counterexample.indices]
 
 
 def test_a_difference_the_sides_do_not_confirm_is_an_internal_error(monkeypatch):
     alg = get("qt3_deg4")
     cube = nary_from_associative(alg.products["prod"], 3)
-    key = _scanned(cube)[reports._PREFIX]
+    key = _scanned(cube)[16]
     monkeypatch.setattr(operators, "_least_difference",
                         lambda *args: (key, (1,) + (0,) * 19))
     with pytest.raises(InternalConsistencyError, match="sparse-difference"):
@@ -646,7 +667,7 @@ def test_catalog_operators_pass_on_cubes_past_the_prefix():
                     or not check_commutative(t).passed):
                 continue
             cube = nary_from_associative(t, 3)
-            assert len(_scanned(cube)) > reports._PREFIX
+            assert len(_scanned(cube)) > 16
             maps = [m]
             if oc.kind == "rb":
                 maps.append(LinearMap.scalar(alg.dimension, -oc.weight) - m)
@@ -665,7 +686,7 @@ def test_scalar_operators_pass_past_the_prefix(lam):
     qt2 = get("qt2_deg3").products
     for t in (nary_from_associative(get("q4").products["prod"], 3),
               qt2["prod"], qt2["det2"]):
-        assert len(_scanned(t)) > reports._PREFIX
+        assert len(_scanned(t)) > 16
         scalars = (-lam, Fraction(-1) / lam)
         for (check, oracle), c in zip(_OPERATOR_ORACLES, scalars):
             m = LinearMap.scalar(t.dimension, c)

@@ -18,8 +18,8 @@ from algcheck.axioms import check_n_jacobi
 from algcheck.catalog import euler_maps, get, truncated_poly_product
 from algcheck.linalg import LinearForm, LinearMap
 from algcheck.reports import (ArgumentError, InternalConsistencyError,
-                              PreconditionError, agree, conclude, failing,
-                              passing, require)
+                              PreconditionError, agree, conclude, decide,
+                              failing, passing, require)
 
 PASS = passing("some-identity", 8)
 FAIL = failing("other-identity", 8, (1, 0, 2), (1,), (0,))
@@ -60,6 +60,42 @@ def test_agree_names_the_theorem_and_both_verdicts(first, second):
     assert str(exc.value) == (
         f"theorem T: A and B disagree: {first.identity_name} "
         f"{first.verdict}, {second.identity_name} {second.verdict}")
+
+
+# ---------------------------------------------------------------- decide
+
+
+def _sides_at(table):
+    """Per-tuple sides ``(lhs, 0)`` read from ``table``, which record the
+    tuples they are evaluated at."""
+    calls = []
+
+    def sides(idx):
+        calls.append(idx)
+        return table.get(idx, (0,)), (0,)
+    return sides, calls
+
+
+def test_decide_passes_without_evaluating_the_sides():
+    sides, calls = _sides_at({})
+    assert decide("x", 8, sides, lambda: None) == passing("x", 8)
+    assert calls == []
+
+
+def test_decide_evaluates_the_sides_once_at_the_least_difference():
+    sides, calls = _sides_at({(0, 1): (2,), (1, 0): (3,)})
+    rep = decide("x", 8, sides, lambda: ((0, 1), (2,)))
+    assert rep == failing("x", 8, (0, 1), (2,), (0,))
+    assert calls == [(0, 1)]
+
+
+def test_decide_refuses_a_difference_the_sides_do_not_confirm():
+    sides, calls = _sides_at({})
+    with pytest.raises(InternalConsistencyError, match=(
+            r"per-tuple and sparse-difference verdicts at \(0, 1\) disagree: "
+            "x pass, x difference fail")):
+        decide("x", 8, sides, lambda: ((0, 1), (2,)))
+    assert calls == [(0, 1)]
 
 
 # ------------------------------------------------- sites, through flip

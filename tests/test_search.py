@@ -1,4 +1,5 @@
 import importlib
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
@@ -57,6 +58,26 @@ def plain_grid(t, spec):
     for count, flat in enumerate(iproduct(entry_set, repeat=d * d)):
         if count >= spec.max_candidates:
             break
+        if flat in seen:
+            continue
+        seen.add(flat)
+        p = LinearMap.from_cols([flat[j * d:(j + 1) * d] for j in range(d)])
+        rep = check_rota_baxter(t, p, lam)
+        if rep.passed:
+            results.append((p.cols, rep))
+    return results
+
+
+def plain_random(t, spec):
+    """The random strategy as one flat loop that fully checks every distinct
+    draw: ``(cols, certificate)`` of each result, in draw order."""
+    d = t.dimension
+    lam = norm(spec.weight)
+    entry_set = tuple(norm(e) for e in spec.entry_set)
+    rng = random.Random(spec.seed)
+    results, seen = [], set()
+    for _ in range(spec.max_candidates):
+        flat = tuple(rng.choice(entry_set) for _ in range(d * d))
         if flat in seen:
             continue
         seen.add(flat)
@@ -179,6 +200,27 @@ def test_rb_random_seed_changes_order():
     cols_a, cols_b = [r.found.cols for r in a], [r.found.cols for r in b]
     assert sorted(cols_a) == sorted(cols_b)
     assert cols_a != cols_b
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+@pytest.mark.parametrize("weight", [0, 1])
+@pytest.mark.parametrize("name, product", [
+    ("q3", "prod"), ("heisenberg", "bracket"), ("nonabelian2", "bracket")])
+def test_rb_random_matches_the_plain_loop_draw_for_draw(name, product, weight,
+                                                        seed):
+    # each draw is rejected at its first failing tuple before any full
+    # check; the results, in draw order, and their certificates are those
+    # of fully checking every distinct draw, and only passing draws are
+    # fully checked
+    alg = get(name)
+    spec = SearchSpec("rb_operator", product, weight=weight,
+                      strategy="random", max_candidates=1500, seed=seed)
+    with mock.patch.object(search_module, "check_rota_baxter",
+                           wraps=check_rota_baxter) as counted:
+        got = [(r.found.cols, r.certificate) for r in search(alg, spec)]
+    want = plain_random(alg.products[product], spec)
+    assert got == want and repr(got) == repr(want)
+    assert counted.call_count == len(got)
 
 
 def test_rb_weight_one_finds_minus_identity():
