@@ -22,7 +22,8 @@ from .operators import (check_derivation, check_rota_baxter,
 from .reports import (CheckReport, PreconditionError, agree, conclude,
                       first_failure, passing, require)
 from .scalars import norm
-from .tensor import StructureTensor, basis_tuples, sort_with_sign
+from .tensor import (StructureTensor, basis_tuples, descaled, integer_table,
+                     join, sort_with_sign)
 
 _PERMS3 = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
            ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1))
@@ -197,14 +198,16 @@ def prelie_from_comm_assoc(assoc: StructureTensor, dmap: LinearMap) -> Structure
     first two arguments as the pre-Lie axiom used here requires; the mirror
     formula D(x).y is only symmetric in the last two.  By commutativity the
     two products are opposite algebras of each other and share the same
-    commutator up to sign.
+    commutator up to sign.  Row i of the product is one join of e_i with
+    the columns of D (:func:`tensor.join`).
     """
     _require_comm_assoc(assoc)
     require(check_derivation(assoc, dmap, 0), "derivation identity")
-    dc = dmap.sparse_cols
-    t = StructureTensor.from_function(
-        2, assoc.dimension, "none",
-        lambda key: assoc.contract((key[0], dc[key[1]])))
+    d, rows = assoc.dimension, dmap.sparse_rows
+    q = integer_table(assoc)[0]
+    t = StructureTensor(2, d, "none", {
+        (i, x): descaled(prod, d, q) for i in range(d)
+        for x, prod in sorted(join(assoc, ((i, 1),), rows).items())})
     conclude(check_prelie(t), "x.D(y) product: pre-Lie axiom")
     return t
 
@@ -343,75 +346,47 @@ def thm42_condition(assoc: StructureTensor, p: LinearMap, lam, f: LinearForm,
                  "f,D bracket kernel condition and direct Rota-Baxter verdict")
 
 
-def _det_join(assoc: StructureTensor, rows) -> StructureTensor:
-    """The skew ternary bracket det(r1, r2, r3) over a commutative
-    associative algebra, where each row holds one sparse column per basis
-    index, built by one join of the rows through ``assoc.table``.
+def _det_join(assoc: StructureTensor, m1: LinearMap, m2: LinearMap,
+              m3: LinearMap) -> StructureTensor:
+    """The skew ternary bracket det(M1 e_x, M2 e_y, M3 e_z) over a
+    commutative associative algebra, built by joins of the maps' columns
+    through the product table.
 
     1. At a basis triple (x0, x1, x2) the determinant is Σ_σ sgn σ times
-       m(xσ0, xσ1, xσ2), where m(u, v, w) = (r1[u]·r2[v])·r3[w] is
+       m(xσ0, xσ1, xσ2), where m(u, v, w) = (M1 e_u·M2 e_v)·M3 e_w is
        trilinear: D1(x)·D2(y)·D3(z) for :func:`det_bracket_3`, and
-       x·D1(y)·D2(z) for :func:`det_bracket_2`, whose first row is the unit
-       columns.  So the bracket is the antisymmetrisation of m.
+       x·D1(y)·D2(z) for :func:`det_bracket_2`, whose first map is the
+       identity.  So the bracket is the antisymmetrisation of m.
     2. Its value at an ascending key k is therefore the sum of m(u, v, w)
        over the ordered triples that sort to k, each times the sign of its
        sort: (u, v, w) = (kσ0, kσ1, kσ2), and sorting it undoes σ, whose
        sign is sgn σ.
     3. A triple with a repeated index sorts to no ascending key and gets
        nothing; every triple of distinct indices sorts to exactly one key.
-    4. m is built in that order: r1[u]·r2[v] through the table, then that
-       product times r3[w] through the table.  The table is read by first
-       index and the second and third rows are inverted (row index ->
-       columns), so each product visits only the table entries it
-       multiplies, and a key no nonzero product reaches costs nothing.
+    4. m is built in that order by :func:`tensor.join`: M1 e_u·M2 e_v for
+       every v, then each such product times M3 e_w for every w.  A join
+       reads the kept integer table by first index and the map by its
+       rows, so each product visits only the table entries it multiplies,
+       and a key no nonzero product reaches costs nothing.  Each join
+       scales by q, so m comes out as q**2 times its value, divided once
+       per nonzero stored coordinate.
 
     Keys are inserted in lex order, the order of ``basis_tuples``, so
     ``entries`` and its ``repr`` do not depend on the order of the join.
     """
     d = assoc.dimension
-    first = [[] for _ in range(d)]
-    for (a, b), pairs in assoc.table.items():
-        first[a].append((b, pairs))
-    r1, r2, r3 = rows
-    inv2, inv3 = _inverted(r2, d), _inverted(r3, d)
+    rows2, rows3 = m2.sparse_rows, m3.sparse_rows
     acc = {}
-    for u, col in enumerate(r1):
-        for v, uv in _join(first, col, inv2, (u,)).items():
-            for w, uvw in _join(first, uv.items(), inv3, (u, v)).items():
+    for u, col in enumerate(m1.sparse_cols):
+        for v, uv in join(assoc, col, rows2, (u,)).items():
+            for w, uvw in join(assoc, uv.items(), rows3, (u, v)).items():
                 key, sign = sort_with_sign((u, v, w))
-                out = acc.setdefault(key, [0] * d)
+                out = acc.setdefault(key, {})
                 for k, c in uvw.items():
-                    out[k] += sign * c
-    return StructureTensor(3, d, "skew", {key: acc[key] for key in sorted(acc)})
-
-
-def _inverted(cols, d):
-    """Row index -> the (column, coefficient) pairs of sparse columns."""
-    inv = [[] for _ in range(d)]
-    for x, col in enumerate(cols):
-        for i, c in col:
-            inv[i].append((x, c))
-    return inv
-
-
-def _join(first, left, inv, skip):
-    """{x: the product of the sparse vector ``left`` and column x} over the
-    columns x not in ``skip``, each product as a k -> coefficient dict; the
-    table is ``first`` (first index -> (second index, pairs)) and the
-    columns are given inverted."""
-    out = {}
-    for a, p in left:
-        if not p:
-            continue
-        for b, pairs in first[a]:
-            for x, q in inv[b]:
-                if x in skip:
-                    continue
-                prod = out.setdefault(x, {})
-                c = p * q
-                for k, e in pairs:
-                    prod[k] = prod.get(k, 0) + c * e
-    return out
+                    out[k] = out.get(k, 0) + sign * c
+    q2 = integer_table(assoc)[0] ** 2
+    return StructureTensor(3, d, "skew", {
+        key: descaled(acc[key], d, q2) for key in sorted(acc)})
 
 
 def _det_preconditions(assoc, dmaps):
@@ -429,8 +404,7 @@ def det_bracket_2(assoc: StructureTensor, d1: LinearMap,
     """Ternary bracket det(rows: elements, D1-images, D2-images) from two
     commuting derivations of a commutative associative algebra."""
     _det_preconditions(assoc, (d1, d2))
-    units = [((i, 1),) for i in range(assoc.dimension)]
-    t = _det_join(assoc, (units, d1.sparse_cols, d2.sparse_cols))
+    t = _det_join(assoc, LinearMap.identity(assoc.dimension), d1, d2)
     conclude(check_n_jacobi(t), "two-derivation bracket: Jacobi identity")
     return t
 
@@ -440,7 +414,7 @@ def det_bracket_3(assoc: StructureTensor, d1: LinearMap, d2: LinearMap,
     """Ternary bracket det(D1-images, D2-images, D3-images) from three
     pairwise commuting derivations."""
     _det_preconditions(assoc, (d1, d2, d3))
-    t = _det_join(assoc, [m.sparse_cols for m in (d1, d2, d3)])
+    t = _det_join(assoc, d1, d2, d3)
     conclude(check_n_jacobi(t), "three-derivation bracket: Jacobi identity")
     return t
 

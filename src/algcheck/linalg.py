@@ -7,9 +7,9 @@ Conventions used throughout the package:
   ``(index, coefficient)`` pairs, as :func:`support` gives it;
 * ``LinearMap`` stores its matrix by columns, column ``j`` being the image of
   basis vector ``j``; composition ``A @ B`` is the matrix product ``A . B``.
-  Its sparse columns are built on first use and kept on the frozen map, like
-  ``StructureTensor.table``, outside equality, hashing and ``repr``; a map
-  applies through them;
+  Its sparse columns and rows are built on first use and kept on the frozen
+  map, like ``StructureTensor.table``, outside equality, hashing and
+  ``repr``; a map applies through its columns;
 * nullspaces are computed by exact Gaussian elimination over the rationals
   and returned in the canonical reduced-row-echelon parametrization, so the
   result is deterministic.
@@ -148,6 +148,12 @@ class LinearMap(Record):
     def sparse_cols(self) -> list:
         """The :func:`support` of each column, built on first use."""
         return [support(col) for col in self.cols]
+
+    @cached_property
+    def sparse_rows(self) -> list:
+        """The :func:`support` of each row, built on first use: row j holds
+        ``(i, M[j, i])``, in increasing i."""
+        return [support(row) for row in zip(*self.cols)]
 
     def __call__(self, v: Vector) -> Vector:
         if len(v) != self.dimension:

@@ -50,7 +50,7 @@ from .linalg import LinearMap, apply_cols, maps_commute, support, vector
 from .reports import (ArgumentError, CheckReport, InternalConsistencyError,
                       PreconditionError, agree, decide, failing, passing)
 from .scalars import Scalar, norm, rational
-from .tensor import RISE, StructureTensor, integer_table
+from .tensor import RISE, StructureTensor, descaled, integer_table, join
 
 __all__ = [
     "SubsetMode", "subset_expansion", "check_rota_baxter", "check_derivation",
@@ -221,12 +221,9 @@ def _landings(t: StructureTensor, m: LinearMap, terms, gap):
     n, d = t.arity, t.dimension
     q, rows = integer_table(t)
     r = lcm(*(a.denominator for col in m.sparse_cols for _, a in col))
-    cols = [[(i, a.numerator * (r // a.denominator)) for i, a in col]
-            for col in m.sparse_cols]
-    mrows = [[] for _ in range(d)]  # row j of r M, as (i, r M[j, i])
-    for i, col in enumerate(cols):
-        for j, a in col:
-            mrows[j].append((i, a))
+    # the columns and rows of r M; row j as (i, r M[j, i])
+    cols, mrows = ([[(i, a.numerator * (r // a.denominator)) for i, a in v]
+                    for v in vs] for vs in (m.sparse_cols, m.sparse_rows))
     # a term with f entries of M is scaled by r**f, its coefficient by s
     # and r**(top - f) more, so that every term is scale times its value
     s = lcm(*(c.denominator for _, c, _ in terms))
@@ -376,7 +373,9 @@ def nary_from_associative(t: StructureTensor, n: int) -> StructureTensor:
     """Arity-n tensor of left-nested n-fold products of an associative
     binary product.  Associativity is a verified precondition (it makes the
     nesting order immaterial; left-to-right is fixed for reproducibility).
-    The power is kept on ``t``: each call with the same ``n`` returns it."""
+    Each running product is joined with the columns of the identity
+    (:func:`tensor.join`), n - 1 times.  The power is kept on ``t``: each
+    call with the same ``n`` returns it."""
     return t._memo(("nary_from_associative", n), _nary_power, n)
 
 
@@ -389,11 +388,13 @@ def _nary_power(t: StructureTensor, n: int) -> StructureTensor:
             "product is not associative "
             f"(violation at basis triple {rep.counterexample.indices})")
     d = t.dimension
-    # running products as sparse slots; a zero one has only zero extensions
-    level = {(i,): ((i, 1),) for i in range(d)}
-    for _ in range(n - 2):
+    rows = LinearMap.identity(d).sparse_rows
+    # running products, each join scaling by q, in lex order of their keys;
+    # a zero one has only zero extensions
+    level = {(i,): {i: 1} for i in range(d)}
+    for _ in range(n - 1):
         level = {key + (j,): prod for key, slot in level.items()
-                 for j in range(d) if (prod := support(t.contract((slot, j))))}
+                 for j, prod in sorted(join(t, slot.items(), rows).items())}
+    q = integer_table(t)[0] ** (n - 1)
     return StructureTensor(n, d, "none", {
-        key + (j,): prod for key, slot in level.items() for j in range(d)
-        if any(prod := t.contract((slot, j)))})
+        key: descaled(prod, d, q) for key, prod in level.items()})

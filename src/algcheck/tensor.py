@@ -16,6 +16,10 @@ Values that depend on the tensor alone, such as axiom verdicts and n-ary
 powers, are kept on it in the same way (``StructureTensor._memo``).
 :meth:`StructureTensor.contract` expands multilinear products of sparse
 arguments over that table and is the one contraction kernel of the package.
+The table scaled to ints is kept too (:func:`integer_table`): the sparse
+builders read it, and so does :func:`join`, the product of a sparse vector
+with every column of a map under a binary product, which builds the
+determinant brackets, the n-ary powers and the x·D(y) products.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from math import lcm
 from .linalg import (Vector, basis_vector, support, vec_is_zero, vec_scale,
                      vector)
 from .reports import ArgumentError, Record
+from .scalars import rational
 
 SYMMETRIES = ("none", "skew", "symmetric")
 
@@ -230,6 +235,40 @@ def _integer_table(t: StructureTensor) -> tuple:
             (key, tuple((k, c.numerator * (q // c.denominator))
                         for k, c in pairs)))
     return q, rows
+
+
+def join(t: StructureTensor, left, rows, skip=()) -> dict:
+    """``{x: q times t(left, M e_x)}`` for the binary product t, over the
+    columns x of a map M not in ``skip`` that a stored product reaches,
+    each product as a ``k -> coefficient`` dict.  ``left`` is a sparse
+    vector, ``rows`` the sparse rows of M (``LinearMap.sparse_rows``) and q
+    the common denominator of :func:`integer_table`, whose rows by first
+    index it reads: t(e_a, e_b) is read only where ``left`` has a and row b
+    of M is nonzero, so a column no stored product reaches costs nothing."""
+    first = integer_table(t)[1]
+    out = {}
+    for a, p in left:
+        if not p:
+            continue
+        for (_, b), pairs in first[a]:
+            for x, m in rows[b]:
+                if x in skip:
+                    continue
+                prod = out.setdefault(x, {})
+                c = p * m
+                for k, e in pairs:
+                    prod[k] = prod.get(k, 0) + c * e
+    return out
+
+
+def descaled(prod: dict, d: int, q) -> list:
+    """The dense d-vector of ``prod``, which maps k to q times coordinate
+    k, dividing by q once at each nonzero coordinate."""
+    out = [0] * d
+    for k, c in prod.items():
+        if c:
+            out[k] = rational(c, q)
+    return out
 
 
 def stored_keys(arity, dimension, symmetry):

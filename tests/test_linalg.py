@@ -145,10 +145,12 @@ def _snapshot(alg):
 def test_kept_columns_leave_equality_hash_repr_pickle_and_files_alone():
     for name in catalog_names():
         alg = files.loads(files.dumps(get(name)))  # columns not built yet
-        assert all("sparse_cols" not in vars(m) for m in alg.maps.values())
+        assert all("sparse_cols" not in vars(m) and "sparse_rows" not in vars(m)
+                   for m in alg.maps.values())
         text, reprs, hashes, copies = _snapshot(alg)
         for m in alg.maps.values():
             assert m.sparse_cols is m.sparse_cols  # built once, then kept
+            assert m.sparse_rows is m.sparse_rows
             m(tuple(range(m.dimension)))
         assert _snapshot(alg) == (text, reprs, hashes, copies)
         for m, copy in zip(alg.maps.values(), copies):
@@ -156,6 +158,7 @@ def test_kept_columns_leave_equality_hash_repr_pickle_and_files_alone():
             again = pickle.loads(pickle.dumps(m))
             assert again == m and repr(again) == repr(m)
             assert again.sparse_cols == m.sparse_cols
+            assert again.sparse_rows == m.sparse_rows
 
 
 def dense_apply(m, v):

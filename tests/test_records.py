@@ -204,7 +204,7 @@ def test_assignment_and_deletion_raise_attribute_error():
 def test_pickle_and_copy_keep_fields_and_cached_values():
     t = StructureTensor(2, 2, "skew", {(0, 1): (1, Fraction(1, 2))})
     p = LinearMap(((0, 1), (Fraction(1, 3), 0)))
-    assert t.table and p.sparse_cols
+    assert t.table and p.sparse_cols and p.sparse_rows
     t._memo("kept", lambda self: "value")
     records = [t, p] + [record for record, _ in pairs()]
     for record in records:
@@ -218,4 +218,8 @@ def test_pickle_and_copy_keep_fields_and_cached_values():
     copied = pickle.loads(pickle.dumps(t))
     assert {"table", "_memo_values"} <= vars(copied).keys()
     assert copied.table == t.table
-    assert pickle.loads(pickle.dumps(p)).sparse_cols == p.sparse_cols
+    for again in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert {"sparse_cols", "sparse_rows"} <= vars(again).keys()
+        assert again.sparse_cols == p.sparse_cols
+        assert again.sparse_rows == p.sparse_rows == [((1, Fraction(1, 3)),),
+                                                      ((0, 1),)]

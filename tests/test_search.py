@@ -19,6 +19,8 @@ from algcheck.scalars import norm
 from algcheck.search import SearchSpec, _form_certificate, search
 from algcheck.tensor import SYMMETRIES, StructureTensor, stored_keys
 
+from test_operators import seed_check_rota_baxter
+
 # the package exports the function ``search`` over its module's name
 search_module = importlib.import_module("algcheck.search")
 
@@ -47,10 +49,21 @@ def all_rb_matrices_2d(t, entry_set):
     return out
 
 
+def certificate(t, p, lam):
+    """``check_rota_baxter(t, p, lam)`` where the per-tuple scan passes
+    ``p``, else None; a disagreement of the two checks fails the test."""
+    seed = seed_check_rota_baxter(t, p, lam)
+    if not seed.passed:
+        return None
+    rep = check_rota_baxter(t, p, lam)
+    assert rep == seed
+    return rep
+
+
 def plain_grid(t, spec):
-    """The grid strategy as one flat loop that fully checks every distinct
-    point below ``max_candidates``, without pruning: ``(cols, certificate)``
-    of each result, in grid order."""
+    """The grid strategy as one flat loop that decides every distinct point
+    below ``max_candidates`` by the per-tuple scan, without pruning:
+    ``(cols, certificate)`` of each result, in grid order."""
     d = t.dimension
     lam = norm(spec.weight)
     entry_set = tuple(norm(e) for e in spec.entry_set)
@@ -62,15 +75,15 @@ def plain_grid(t, spec):
             continue
         seen.add(flat)
         p = LinearMap.from_cols([flat[j * d:(j + 1) * d] for j in range(d)])
-        rep = check_rota_baxter(t, p, lam)
-        if rep.passed:
+        if (rep := certificate(t, p, lam)) is not None:
             results.append((p.cols, rep))
     return results
 
 
 def plain_random(t, spec):
-    """The random strategy as one flat loop that fully checks every distinct
-    draw: ``(cols, certificate)`` of each result, in draw order."""
+    """The random strategy as one flat loop that decides every distinct
+    draw by the per-tuple scan: ``(cols, certificate)`` of each result, in
+    draw order."""
     d = t.dimension
     lam = norm(spec.weight)
     entry_set = tuple(norm(e) for e in spec.entry_set)
@@ -82,8 +95,7 @@ def plain_random(t, spec):
             continue
         seen.add(flat)
         p = LinearMap.from_cols([flat[j * d:(j + 1) * d] for j in range(d)])
-        rep = check_rota_baxter(t, p, lam)
-        if rep.passed:
+        if (rep := certificate(t, p, lam)) is not None:
             results.append((p.cols, rep))
     return results
 
