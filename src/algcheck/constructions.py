@@ -8,6 +8,13 @@ the theorems make unconditional under those hypotheses are re-verified.
 Both go through the gates of :mod:`reports`: ``require`` for a hypothesis,
 ``conclude`` for a conclusion and ``agree`` for two verdicts a theorem
 makes equivalent.
+
+Every f-weighted bracket (the f-bracket, the pre-Lie bracket of Theorem 3.6
+and the f,D bracket) and every cyclic kernel condition is the one expression
+E(i, j, k) = f_i B(j, k) + f_j B(k, i) + f_k B(i, j) for a skew pair B, and
+one sparse builder, :func:`_cyclic`, stores it from the nonzero f_i and the
+ascending pairs; a kernel condition scans only the keys it stores.  The
+determinant brackets are joins through the product table (:func:`_det_join`).
 """
 
 from __future__ import annotations
@@ -15,8 +22,8 @@ from __future__ import annotations
 from .axioms import (check_associative, check_commutative, check_lie,
                      check_n_jacobi, check_prelie, check_skew_symmetric,
                      commutator)
-from .linalg import (LinearForm, LinearMap, maps_commute, vec_add, vec_scale,
-                     vec_sub, zero_vector)
+from .linalg import (LinearForm, LinearMap, maps_commute, support, vec_add,
+                     vec_scale, vec_sub, zero_vector)
 from .operators import (check_derivation, check_rota_baxter,
                         nary_from_associative)
 from .reports import (CheckReport, PreconditionError, agree, conclude,
@@ -51,23 +58,41 @@ def _twisted(t: StructureTensor, left: LinearMap, right: LinearMap = None):
     return lambda a, b: t.contract((lc[a], rc[b]), (neg[b], rc[a]))
 
 
-def _cyclic(f: LinearForm, pair):
-    """E(i, j, k) = f(e_i) B(j, k) + f(e_j) B(k, i) + f(e_k) B(i, j) as a
-    function of the triple (i, j, k), where ``pair(a, b)`` is the vector
-    B(a, b).  Every bracket and kernel condition of the paper's
-    constructions has this form."""
-    fr = f.row
+def _cyclic(d, *sums) -> StructureTensor:
+    """The skew ternary tensor of the summed E(i, j, k) = f(e_i) B(j, k) +
+    f(e_j) B(k, i) + f(e_k) B(i, j) over the ``(f, pair)`` of ``sums``,
+    where ``pair(a, b)`` is the vector B(a, b).  Every bracket and kernel
+    condition of the paper's constructions has this form.
 
-    def expr(key):
-        i, j, k = key
-        out = [0] * len(fr)
-        for c, (a, b) in ((fr[i], (j, k)), (fr[j], (k, i)), (fr[k], (i, j))):
-            if c:
-                for m, x in enumerate(pair(a, b)):
-                    if x:
-                        out[m] += c * x
-        return tuple(out)
-    return expr
+    Each B must be skew, B(a, b) = -B(b, a): every caller's is either a Lie
+    bracket of two vectors or, by construction, a difference X(a, b) -
+    X(b, a).  Then E is alternating.  Swapping i and j gives f_j B(i, k) +
+    f_i B(k, j) + f_k B(j, i), which is -E(i, j, k) term by term; E is
+    invariant under cyclic shifts, so every other transposition also
+    negates it.  A repeated index gives zero: E(i, i, k) = f_i (B(i, k) +
+    B(k, i)) + f_k B(i, i) = 0.
+
+    So E is fixed by its values at ascending keys, and the value at key
+    (a, b, c) is f_a B(b, c) - f_b B(a, c) + f_c B(a, b): the sum, over each
+    nonzero f_i and each ascending pair (j, k) with i not in {j, k}, of f_i
+    B(j, k) times the sign of sorting (i, j, k).  That is what is added
+    here, with ``pair`` called once per ascending pair, and a zero f_i or
+    B(j, k) costs nothing.  Keys are inserted in lex order, the order of
+    ``basis_tuples``, so ``entries`` and its ``repr`` do not depend on the
+    order of the sum.
+    """
+    acc = {}
+    for f, pair in sums:
+        fs = support(f.row)
+        for j, k in basis_tuples(2, d, "skew") if fs else ():
+            b = support(pair(j, k))
+            for i, c in fs if b else ():
+                if i != j and i != k:
+                    key, sign = sort_with_sign((i, j, k))
+                    out = acc.setdefault(key, [0] * d)
+                    for m, x in b:
+                        out[m] += sign * c * x
+    return StructureTensor(3, d, "skew", {key: acc[key] for key in sorted(acc)})
 
 
 def _cyclic_condition(name, d, f: LinearForm, pair, kmap=None) -> CheckReport:
@@ -77,24 +102,17 @@ def _cyclic_condition(name, d, f: LinearForm, pair, kmap=None) -> CheckReport:
     expression E(i, j, k) of :func:`_cyclic`.  A failure reports the image
     of E at the lexicographically least failing triple against zero.
 
-    Every caller's B is skew, B(a, b) = -B(b, a): either a Lie bracket of
-    two vectors, or by construction a difference X(a, b) - X(b, a).  Then E
-    is alternating.  Swapping i and j gives f_j B(i, k) + f_i B(k, j) +
-    f_k B(j, i), which is -E(i, j, k) term by term; E is invariant under
-    cyclic shifts, so every other transposition also negates it.  A
-    repeated index gives zero: E(i, i, k) = f_i (B(i, k) + B(k, i)) +
-    f_k B(i, i) = 0.  ``kmap`` is linear, so its image of E is alternating
-    too.  Hence a triple fails iff its sorted version fails; that version
-    has distinct entries and is the least of its permutations.  So only
-    strictly ascending triples are scanned, in lex order, and the first
-    failure found is the first failure of the full scan, with the same
-    image.  ``checked_count`` is the full d**3.
+    E is alternating (:func:`_cyclic`), and ``kmap`` is linear, so its
+    image of E is alternating too.  Hence a triple fails iff its sorted
+    version fails; that version has distinct entries and is the least of
+    its permutations.  A key where E is zero passes, so only the keys the
+    builder stores are scanned, in lex order, and the first failure found
+    is the first failure of the full scan, with the same image.
+    ``checked_count`` is the full d**3.
     """
-    expr = _cyclic(f, pair)
-    zero = zero_vector(d)
-    return first_failure(
-        name, d ** 3, basis_tuples(3, d, "skew"),
-        lambda idx: (expr(idx) if kmap is None else kmap(expr(idx)), zero))
+    e, zero = _cyclic(d, (f, pair)).entries, zero_vector(d)
+    return first_failure(name, d ** 3, e, lambda idx: (
+        e[idx] if kmap is None else kmap(e[idx]), zero))
 
 
 def f_bracket(lie: StructureTensor, f: LinearForm) -> StructureTensor:
@@ -102,8 +120,7 @@ def f_bracket(lie: StructureTensor, f: LinearForm) -> StructureTensor:
     and a form vanishing on all brackets."""
     require(check_lie(lie), "Lie axioms")
     _verify_annihilating(lie, f)
-    t = StructureTensor.from_function(
-        3, lie.dimension, "skew", _cyclic(f, lambda a, b: lie.contract((a, b))))
+    t = _cyclic(lie.dimension, (f, lambda a, b: lie.contract((a, b))))
     conclude(check_n_jacobi(t), "f-bracket: Jacobi identity")
     return t
 
@@ -247,9 +264,7 @@ def thm36_bracket(prelie: StructureTensor, p: LinearMap,
     # by bilinearity the cyclic sum of [f(x)P(y) - f(y)P(x), z], with [,]
     # the commutator, is f(x) B(y, z) + cyclic, B(a, b) = [P e_a, e_b] -
     # [P e_b, e_a]
-    t = StructureTensor.from_function(
-        3, prelie.dimension, "skew",
-        _cyclic(f, _twisted(commutator(prelie), p)))
+    t = _cyclic(prelie.dimension, (f, _twisted(commutator(prelie), p)))
     conclude(check_n_jacobi(t), "pre-Lie ternary bracket: Jacobi identity")
     return t
 
@@ -295,8 +310,7 @@ def fD_bracket(assoc: StructureTensor, f: LinearForm,
     """Determinant bracket with rows (f-values, D-images, elements) on a
     commutative associative algebra."""
     _fd_preconditions(assoc, f, dmap)
-    t = StructureTensor.from_function(
-        3, assoc.dimension, "skew", _cyclic(f, _twisted(assoc, dmap)))
+    t = _cyclic(assoc.dimension, (f, _twisted(assoc, dmap)))
     conclude(check_n_jacobi(t), "f,D determinant bracket: Jacobi identity")
     return t
 
@@ -346,11 +360,11 @@ def thm42_condition(assoc: StructureTensor, p: LinearMap, lam, f: LinearForm,
                  "f,D bracket kernel condition and direct Rota-Baxter verdict")
 
 
-def _det_join(assoc: StructureTensor, m1: LinearMap, m2: LinearMap,
+def _det_join(assoc: StructureTensor, cols1, m2: LinearMap,
               m3: LinearMap) -> StructureTensor:
     """The skew ternary bracket det(M1 e_x, M2 e_y, M3 e_z) over a
     commutative associative algebra, built by joins of the maps' columns
-    through the product table.
+    through the product table; ``cols1`` holds the sparse columns of M1.
 
     1. At a basis triple (x0, x1, x2) the determinant is Σ_σ sgn σ times
        m(xσ0, xσ1, xσ2), where m(u, v, w) = (M1 e_u·M2 e_v)·M3 e_w is
@@ -377,7 +391,7 @@ def _det_join(assoc: StructureTensor, m1: LinearMap, m2: LinearMap,
     d = assoc.dimension
     rows2, rows3 = m2.sparse_rows, m3.sparse_rows
     acc = {}
-    for u, col in enumerate(m1.sparse_cols):
+    for u, col in enumerate(cols1):
         for v, uv in join(assoc, col, rows2, (u,)).items():
             for w, uvw in join(assoc, uv.items(), rows3, (u, v)).items():
                 key, sign = sort_with_sign((u, v, w))
@@ -404,7 +418,7 @@ def det_bracket_2(assoc: StructureTensor, d1: LinearMap,
     """Ternary bracket det(rows: elements, D1-images, D2-images) from two
     commuting derivations of a commutative associative algebra."""
     _det_preconditions(assoc, (d1, d2))
-    t = _det_join(assoc, LinearMap.identity(assoc.dimension), d1, d2)
+    t = _det_join(assoc, [((u, 1),) for u in range(assoc.dimension)], d1, d2)
     conclude(check_n_jacobi(t), "two-derivation bracket: Jacobi identity")
     return t
 
@@ -414,7 +428,7 @@ def det_bracket_3(assoc: StructureTensor, d1: LinearMap, d2: LinearMap,
     """Ternary bracket det(D1-images, D2-images, D3-images) from three
     pairwise commuting derivations."""
     _det_preconditions(assoc, (d1, d2, d3))
-    t = _det_join(assoc, d1, d2, d3)
+    t = _det_join(assoc, d1.sparse_cols, d2, d3)
     conclude(check_n_jacobi(t), "three-derivation bracket: Jacobi identity")
     return t
 

@@ -388,7 +388,7 @@ def _nary_power(t: StructureTensor, n: int) -> StructureTensor:
             "product is not associative "
             f"(violation at basis triple {rep.counterexample.indices})")
     d = t.dimension
-    rows = LinearMap.identity(d).sparse_rows
+    rows = [((b, 1),) for b in range(d)]
     # running products, each join scaling by q, in lex order of their keys;
     # a zero one has only zero extensions
     level = {(i,): {i: 1} for i in range(d)}

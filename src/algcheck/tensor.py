@@ -279,10 +279,12 @@ def stored_keys(arity, dimension, symmetry):
 def skew_from_values(dimension, arity, value_fn, verify=True) -> StructureTensor:
     """Store ``value_fn`` over ascending tuples as a skew tensor.
 
-    With ``verify`` (the default) the claimed skewness is checked rather than
-    assumed: ``value_fn`` is evaluated on every index tuple and compared with
-    the signed value of its sorted tuple.  Raises ``ArgumentError`` on the
-    first violation.
+    A public export with no caller in the package, whose builders prove
+    the skewness of what they store instead of checking it.  With ``verify``
+    (the default) the claimed skewness is checked rather than assumed:
+    ``value_fn`` is evaluated on every index tuple and compared with the
+    signed value of its sorted tuple.  Raises ``ArgumentError`` on the first
+    violation.
     """
     t = StructureTensor.from_function(arity, dimension, "skew", value_fn)
     if verify:

@@ -28,7 +28,7 @@ def test_ladder_runs_gl3_in_under_a_second(capsys):
     assert elapsed < 1.0
     (row,) = doc["gl_f_bracket"]
     assert (row["n"], row["d"], row["stored"]) == (3, 9, 45)
-    for name in ("build", "jacobi", "rb", "perturbed", "derived"):
+    for name in ("build", "cyclic", "jacobi", "rb", "perturbed", "derived"):
         assert row[f"{name}_ms"] > 0 and row[f"{name}_peak_kib"] > 0
     prelie = doc["prelie_qt3_deg4_xD1y"]
     assert (prelie["d"], prelie["stored"]) == (20, 28)

@@ -339,11 +339,19 @@ def test_twisted_pair_matches_the_dense_pair(instance):
     binary_tensors(d), maps(d), vectors(d))))
 def test_cyclic_matches_the_dense_cyclic_sum(instance):
     t, left, row = instance
-    # a pair that is not skew too: the sum is taken as written
-    for pair in (dense_twisted(t, left), dense_image_pair(t, left)):
-        got, want = _cyclic(LinearForm(row), pair), dense_cyclic(row, pair)
-        for key in product(range(t.dimension), repeat=3):
-            assert got(key) == want(key)
+    d = t.dimension
+    # the builder takes skew pairs only: a twisted pair, and the image pair
+    # of the skew part of t
+    skew = StructureTensor(2, d, "skew", {
+        (a, b): vec_scale(Fraction(1, 2), vec_sub(t.basis_product((a, b)),
+                                                  t.basis_product((b, a))))
+        for a, b in stored_keys(2, d, "skew")})
+    for pair in (dense_twisted(t, left), dense_image_pair(skew, left)):
+        got = _cyclic(d, (LinearForm(row), pair))
+        want = dense_cyclic(row, pair)
+        assert list(got.entries) == sorted(got.entries)
+        for key in product(range(d), repeat=3):
+            assert got.contract(key) == want(key)
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,6 +10,9 @@ tensor is reused.  Per rung, min of ``repeat`` calls, in milliseconds:
 
 - ``build``: ``f_bracket(gl(n), trace)``, with its Lie check of the input
   and the Jacobi check that concludes it;
+- ``cyclic``: the cyclic builder alone, ``constructions._cyclic`` over the
+  trace form and the Lie bracket, on a fresh tensor whose table is built
+  before the clock starts; it must store the entries of ``build``;
 - ``jacobi``: ``check_n_jacobi`` on the f-bracket;
 - ``rb``: ``check_rota_baxter(f-bracket, -Id, 1)``;
 - ``perturbed``: ``check_n_jacobi`` on the f-bracket with one coordinate
@@ -53,7 +56,7 @@ DERIVED_MAX_N = 6  # derived_nbracket takes about 0.4 s at gl(6)
 
 from algcheck.axioms import check_n_jacobi, check_prelie  # noqa: E402
 from algcheck.catalog import get  # noqa: E402
-from algcheck.constructions import (f_bracket,  # noqa: E402
+from algcheck.constructions import (_cyclic, f_bracket,  # noqa: E402
                                     prelie_from_comm_assoc)
 from algcheck.inheritance import derived_nbracket  # noqa: E402
 from algcheck.linalg import LinearForm, LinearMap, basis_vector  # noqa: E402
@@ -116,6 +119,15 @@ def gl_rung(n, repeat, derived):
         lambda: StructureTensor(2, d, "skew", dict(lie_entries)), repeat)
     entries = fb.entries
 
+    def kept():
+        lie = StructureTensor(2, d, "skew", dict(lie_entries))
+        lie.table  # built before the clock starts
+        return lie
+
+    cyclic = timed(lambda lie: _cyclic(
+        d, (trace, lambda a, b: lie.contract((a, b)))), kept, repeat)
+    expect(cyclic[2].entries == entries, f"gl({n}) cyclic builder")
+
     def fresh():
         return StructureTensor(3, d, "skew", dict(entries))
 
@@ -133,8 +145,8 @@ def gl_rung(n, repeat, derived):
     expect(not bad[2].passed and fails_jacobi_at(
         StructureTensor(3, d, "skew", dict(broken)), ce.indices),
         f"gl({n}) perturbed f-bracket Jacobi")
-    for name, (ms, kib, _) in (("jacobi", jac), ("rb", rb),
-                               ("perturbed", bad)):
+    for name, (ms, kib, _) in (("cyclic", cyclic), ("jacobi", jac),
+                               ("rb", rb), ("perturbed", bad)):
         row[f"{name}_ms"], row[f"{name}_peak_kib"] = ms, kib
     if derived:
         def primed():
